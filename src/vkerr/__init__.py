@@ -14,9 +14,8 @@ from .dressed import (CavityResponse, CoefficientSet, DegenerateDressing,
                       DressedBasis, InterferenceTerms, RateSet,
                       cavity_response, coefficient_set, dress,
                       interference_terms, rate_set)
-from .floquet import (HarmonicIndex, HarmonicTable, SingularKernel,
-                      SingularSteadyState, SteadyState0, harmonic,
-                      probe_coherence, zeroth_order_steady_state)
+from .floquet import (HarmonicTable, SingularKernel, SingularSteadyState,
+                      SteadyState0, zeroth_order_steady_state)
 from .oracle import (DegenerateNullSpace, FockTruncation, LimitCycleRecord,
                      NoLimitCycle, NonConvergedTruncation,
                      converged_steady_state, lindblad_steady_state,
@@ -38,9 +37,9 @@ __all__ = [
     "CoefficientSet", "DegenerateDressing",
     "dress", "cavity_response", "interference_terms", "rate_set",
     "coefficient_set",
-    "HarmonicIndex", "HarmonicTable", "SteadyState0",
+    "HarmonicTable", "SteadyState0",
     "SingularKernel", "SingularSteadyState",
-    "zeroth_order_steady_state", "harmonic", "probe_coherence",
+    "zeroth_order_steady_state",
     "FockTruncation", "LimitCycleRecord",
     "NonConvergedTruncation", "DegenerateNullSpace", "NoLimitCycle",
     "lindblad_steady_state", "converged_steady_state", "time_domain_reference",

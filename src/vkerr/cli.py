@@ -63,7 +63,6 @@ def _add_grid(p):
     p.add_argument("--step", type=float)
     p.add_argument("--omega", type=float,
                    help="fixed probe detuning for parameter sweeps")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("dump-coefficients",
                        help="debug: all dressed-frame coefficients as JSON")
@@ -153,8 +151,7 @@ def _run_point(args) -> int:
 
 def _sweep_from_args(args, params):
     values = _grid_values(args.start, args.stop, args.step)
-    return sweep(params, values, axis_name=args.axis, omega=args.omega,
-                 threads=args.threads)
+    return sweep(params, values, axis_name=args.axis, omega=args.omega)
 
 
 def _run_sweep(args) -> int:
@@ -227,7 +224,7 @@ def _run_figure_preset(args) -> int:
                           args.stop if args.stop is not None else stop,
                           args.step if args.step is not None else step)
     result = sweep(params, values, axis_name=preset["axis"],
-                   omega=preset.get("omega"), threads=args.threads)
+                   omega=preset.get("omega"))
     fmt = args.format or "csv"
     out = args.out or f"{args.preset}.{fmt}"
     if fmt == "csv":

@@ -1,16 +1,19 @@
 """Perturbative Floquet solution of the reduced dressed-state dynamics.
 
-Every density-matrix element is expanded twice: in harmonics of the probe
+Every density-matrix element is expanded in harmonics of the probe
 detuning and in powers of the probe Rabi frequency,
 
     rho_jk(t) = sum_m sum_n  Omega_p^m * (rho_jk)_m^n * exp(i n delta_p t),
 
-with Omega_p factored out analytically, so the stored coefficients are
-independent of the probe strength.  The stationary hierarchy closes order
-by order: populations at (m, n) see the slow coherence rho_{-1} at the
-same order (the interference terms), so the two are solved together
-through a 2x2 kernel; the fast pair (rho_{1+}, rho_{-+}) couples only
-within itself plus order m-1 sources.
+with Omega_p factored out, so the coefficients do not depend on the probe
+strength.  With rho_{++} eliminated by the unit trace, the reduced
+equations are affine in z = (mm, 11, m1, 1m, 1p, p1, mp, pm),
+
+    z' = A0 z + c0 + Omega_p (e^{i d t} (A+ z + c+) + e^{-i d t} (A- z + c-)),
+
+so each order solves (i n d - A0) z_m^n = A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1}
+plus the constants times the trace of order (0, 0).  Conjugate elements
+are independent unknowns: hermiticity of the solution is a check.
 
 Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 'm1' = rho_{-1}, '1m' = rho_{1-}, '1p' = rho_{1+}, 'p1' = rho_{+1},
@@ -19,7 +22,10 @@ Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dressed import CoefficientSet
 
@@ -27,14 +33,13 @@ __all__ = [
     "ELEMENTS",
     "CONJUGATE_ELEMENT",
     "POPULATIONS",
+    "STATE",
     "SingularSteadyState",
     "SingularKernel",
-    "HarmonicIndex",
     "HarmonicTable",
     "SteadyState0",
+    "reduced_operators",
     "zeroth_order_steady_state",
-    "harmonic",
-    "probe_coherence",
 ]
 
 POPULATIONS = ("mm", "11", "pp")
@@ -43,29 +48,21 @@ CONJUGATE_ELEMENT = {
     "mm": "mm", "11": "11", "pp": "pp",
     "m1": "1m", "1m": "m1", "1p": "p1", "p1": "1p", "mp": "pm", "pm": "mp",
 }
+# the unknowns of the reduced equations; rho_{++} follows from the trace
+STATE = ("mm", "11", "m1", "1m", "1p", "p1", "mp", "pm")
+_INDEX = {name: i for i, name in enumerate(STATE)}
+_DIM = TRACE = len(STATE)     # column TRACE of an operator holds its constant
+_EYE = np.eye(_DIM)
 
 _REL_TOL = 1e-12
 
 
 class SingularSteadyState(ArithmeticError):
-    """The stationary 2x2 population system has no unique solution."""
+    """The stationary probe-free system has no unique solution."""
 
 
 class SingularKernel(ArithmeticError):
-    """A harmonic denominator or kernel determinant vanished."""
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    element: str
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.element not in ELEMENTS:
-            raise ValueError(f"unknown element {self.element!r}")
-        if self.m < 0:
-            raise ValueError("probe order m must be >= 0")
+    """A harmonic kernel i n delta_p - A0 is singular."""
 
 
 @dataclass(frozen=True)
@@ -77,161 +74,158 @@ class SteadyState0:
     rho_m1: complex
 
 
-class HarmonicTable:
-    """Memoized harmonic coefficients for one (coefficients, delta_p) pair.
+def _equations(coeffs: CoefficientSet) -> tuple:
+    """[A0|c0], [A+|c+], [A-|c-] as {row: {column: value}}, one entry an equation.
 
-    Construction is lazy: requesting any coefficient triggers the finite
-    recursion down to (m, n) = (0, 0).  A populated table is immutable in
-    practice; distinct delta_p evaluations share nothing mutable.
+    Column TRACE holds the constant, which multiplies the trace of the state.
+    """
+    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
+    c, s = basis.c, basis.s
+    x1, x2, x3, x4 = x.x1, x.x2, x.x3, x.x4
+    x1c, x2c, x3c, x4c = x1.conjugate(), x2.conjugate(), x3.conjugate(), x4.conjugate()
+    # drift constants: damping + i * (bare rotation of the element)
+    g_m1 = r.Gamma3
+    g_1p = r.Gamma_plus.conjugate() + 1j * (basis.lambda_1 - basis.lambda_plus)
+    g_mp = r.gamma0_pair - 1j * basis.omega_R
+    mm, p11, m1, om, op, po, mp, pm = range(_DIM)
+    # probe-free dynamics; rho_{++} = trace - mm - 11 feeds the mm balance
+    a0 = {mm: {mm: -(r.R_minus_plus + r.R_plus_minus), p11: r.R_1_minus - r.R_plus_minus,
+               m1: s * x1, om: s * x1c, TRACE: r.R_plus_minus},
+          p11: {p11: -(r.R_1_plus + r.R_1_minus), m1: -s * x2, om: -s * x2c},
+          m1: {m1: -g_m1, p11: -s * x4, mm: -s * x2c},
+          om: {om: -g_m1.conjugate(), p11: -s * x4c, mm: -s * x2},
+          op: {op: -g_1p, mp: -s * x2},
+          po: {po: -g_1p.conjugate(), pm: -s * x2c},
+          mp: {mp: -g_mp, op: -s * x3},
+          pm: {pm: -g_mp.conjugate(), po: -s * x3c}}
+    # probe coupling, coefficient of Omega_p e^{+i d t}
+    a_plus = {mm: {om: 1j * c},
+              p11: {op: 1j * s, om: -1j * c},
+              m1: {mp: 1j * s, p11: 1j * c, mm: -1j * c},
+              po: {p11: -2j * s, mm: -1j * s, pm: -1j * c, TRACE: 1j * s},
+              mp: {op: 1j * c},
+              pm: {om: -1j * s}}
+    # probe coupling, coefficient of Omega_p e^{-i d t}
+    a_minus = {mm: {m1: -1j * c},
+               p11: {po: -1j * s, m1: 1j * c},
+               om: {pm: -1j * s, p11: -1j * c, mm: 1j * c},
+               op: {p11: 2j * s, mm: 1j * s, mp: 1j * c, TRACE: -1j * s},
+               mp: {m1: 1j * s},
+               pm: {po: -1j * c}}
+    return a0, a_plus, a_minus
+
+
+def reduced_operators(coeff_sets) -> np.ndarray:
+    """Stacked operators, shape (rows, 3, 8, 9): [A0|c0], [A+|c+], [A-|c-].
+
+    Every entry is computed in scalar arithmetic per coefficient set, so a
+    row's operators do not depend on which other rows share the stack.
+    """
+    equations = [_equations(cs) for cs in coeff_sets]
+    k, row, col = zip(*[(k, row, col) for k, eqs in enumerate(equations[0])
+                        for row, terms in eqs.items() for col in terms])
+    ops = np.zeros((len(equations), 3, _DIM, TRACE + 1), dtype=complex)
+    ops[:, k, row, col] = [[v for eqs in e for terms in eqs.values()
+                            for v in terms.values()] for e in equations]
+    return ops
+
+
+def _singular_rows(kernels: np.ndarray) -> np.ndarray:
+    """Rows with |det| below _REL_TOL times the product of the row norms.
+
+    By Hadamard's bound the test is scale free; non-finite rows count too.
+    """
+    _, logdet = np.linalg.slogdet(kernels)
+    with np.errstate(divide="ignore"):
+        lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
+    return ~(logdet > lognorms + math.log(_REL_TOL))
+
+
+class HarmonicTable:
+    """Memoized harmonic vectors z_m^n for a batch of rows.
+
+    ``coeffs`` is one CoefficientSet shared by every probe detuning in
+    ``delta_p``, or a sequence with one CoefficientSet per detuning; a
+    scalar ``delta_p`` makes a one-row table.  Each order is solved for all
+    rows with one stacked 8x8 solve.  A row whose kernel is singular records
+    its error and the other rows are unaffected: every row is bitwise
+    independent of the batch it sits in.
     """
 
-    def __init__(self, coeffs: CoefficientSet, delta_p: float):
-        self.coeffs = coeffs
-        self.delta_p = float(delta_p)
-        self._cache: dict[tuple[str, int, int], complex] = {}
-
-        basis, rates = coeffs.basis, coeffs.rates
-        self._c, self._s = basis.c, basis.s
-        x = coeffs.interference
-        self._x1, self._x2, self._x3, self._x4 = x.x1, x.x2, x.x3, x.x4
-        # static drift constants: damping + i * (bare rotation of the element)
-        self._gamma_m1 = rates.Gamma3
-        self._gamma_1p = (rates.Gamma_plus.conjugate()
-                          + 1j * (basis.lambda_1 - basis.lambda_plus))
-        self._gamma_mp = rates.gamma0_pair - 1j * basis.omega_R
-
-    # -- public access ------------------------------------------------
+    def __init__(self, coeffs, delta_p):
+        sets = [coeffs] if isinstance(coeffs, CoefficientSet) else list(coeffs)
+        self.delta_p = np.atleast_1d(np.asarray(delta_p, dtype=float))
+        if self.delta_p.ndim != 1 or len(sets) not in (1, len(self.delta_p)):
+            raise ValueError("need one coefficient set, or one per delta_p")
+        self._ops = reduced_operators(sets)
+        self._orders: dict = {}
+        self._singular: dict = {}
 
     def get(self, element: str, m: int, n: int) -> complex:
+        """Coefficient of Omega_p^m e^{i n delta_p t} in one element (one row)."""
         if element not in ELEMENTS:
             raise ValueError(f"unknown element {element!r}")
-        if m < 0:
-            return 0.0 + 0.0j
-        if m == 0 and n != 0:
-            return 0.0 + 0.0j
-        key = (element, m, n)
-        if key not in self._cache:
-            self._compute(element, m, n)
-        return self._cache[key]
+        if len(self.delta_p) != 1:
+            raise ValueError("get needs a one-row table; use solve()")
+        z, failures = self.solve(m, n)
+        if failures:
+            raise failures[0]
+        if element == "pp":
+            return complex(z[0, TRACE] - z[0, _INDEX["mm"]] - z[0, _INDEX["11"]])
+        return complex(z[0, _INDEX[element]])
 
-    def __getitem__(self, idx: HarmonicIndex) -> complex:
-        return self.get(idx.element, idx.m, idx.n)
+    def solve(self, m: int, n: int) -> tuple:
+        """(z, failures) for order (m, n).
 
-    # -- denominators ---------------------------------------------------
+        ``z`` has shape (rows, 9): the unknowns in STATE order, then the
+        trace of the order (1 at (0, 0), else 0).  ``failures`` maps a row
+        to the exception that invalidates it at this order.
+        """
+        if abs(n) > m or (m - n) % 2:
+            # outside the reachable cone: every source vanishes identically
+            return np.zeros((len(self.delta_p), TRACE + 1), dtype=complex), {}
+        if (m, n) not in self._orders:
+            self._orders[m, n] = self._solve_order(m, n)
+        return self._orders[m, n]
 
-    def _denominator(self, gamma: complex, n: int) -> complex:
-        d = gamma + 1j * n * self.delta_p
-        if abs(d) <= _REL_TOL * (abs(gamma) + abs(n * self.delta_p)):
-            raise SingularKernel(f"vanishing denominator at n={n}")
-        return d
-
-    # -- the closed recursion -------------------------------------------
-
-    def _compute(self, element: str, m: int, n: int) -> None:
-        if element in POPULATIONS or element in ("m1", "1m"):
-            self._solve_slow_block(m, n)
-        elif element in ("1p", "mp"):
-            self._solve_pair(m, n)
+    def _solve_order(self, m: int, n: int) -> tuple:
+        rows = len(self.delta_p)
+        if m == 0:
+            # z_0^0 depends on the coefficients only: one solve per set
+            rhs, failures = self._ops[:, 0, :, TRACE], {}
         else:
-            self._solve_pair_conjugate(m, n)
-
-    def _solve_slow_block(self, m: int, n: int) -> None:
-        """Populations and rho_{-1}, rho_{1-} at (m, n) in one shot."""
-        s, c = self._s, self._c
-        x1, x2, x4 = self._x1, self._x2, self._x4
-        r = self.coeffs.rates
-        g3 = self._denominator(self._gamma_m1, n)
-        g3c = self._denominator(self._gamma_m1.conjugate(), n)
-        indp = 1j * n * self.delta_p
-
-        # order m-1 probe sources (one power of Omega_p consumed per i factor)
-        alpha = 1j * (s * self.get("mp", m - 1, n - 1)
-                      + c * (self.get("11", m - 1, n - 1) - self.get("mm", m - 1, n - 1)))
-        beta = -1j * (s * self.get("pm", m - 1, n + 1)
-                      + c * (self.get("11", m - 1, n + 1) - self.get("mm", m - 1, n + 1)))
-        d_1m = self.get("1m", m - 1, n - 1) - self.get("m1", m - 1, n + 1)
-        d_1p = self.get("1p", m - 1, n - 1) - self.get("p1", m - 1, n + 1)
-
-        s2 = s * s
-        H1 = (r.R_minus_plus + r.R_plus_minus + indp
-              + s2 * (x1 * x2.conjugate() / g3 + x1.conjugate() * x2 / g3c))
-        H2 = (r.R_plus_minus - r.R_1_minus
-              + s2 * (x1 * x4 / g3 + x1.conjugate() * x4.conjugate() / g3c))
-        H3 = (r.R_1_plus + r.R_1_minus + indp
-              - s2 * (x2 * x4 / g3 + x2.conjugate() * x4.conjugate() / g3c))
-        H4 = s2 * abs(x2) ** 2 * (1.0 / g3 + 1.0 / g3c)
-
-        const = r.R_plus_minus if (m == 0 and n == 0) else 0.0
-        rhs_u = (const
-                 + s * (x1 * alpha / g3 + x1.conjugate() * beta / g3c)
-                 + 1j * c * d_1m)
-        rhs_w = (-s * (x2 * alpha / g3 + x2.conjugate() * beta / g3c)
-                 + 1j * (s * d_1p - c * d_1m))
-
-        det = H1 * H3 + H2 * H4
-        scale = abs(H1 * H3) + abs(H2 * H4)
-        if abs(det) <= _REL_TOL * scale:
+            (lower, lower_failed), (above, above_failed) = (
+                self.solve(m - 1, n - 1), self.solve(m - 1, n + 1))
+            # row-wise A @ z as product and sum: a BLAS matrix product would
+            # change the last bits of a row with the batch size
+            rhs = ((self._ops[:, 1] * lower[:, None, :]).sum(axis=-1)
+                   + (self._ops[:, 2] * above[:, None, :]).sum(axis=-1))
+            failures = {**above_failed, **lower_failed}
+        # i n delta_p - A0 per row; at n = 0 one per coefficient set
+        kernels = -self._ops[:, 0, :, :TRACE]
+        if n != 0:
+            kernels = kernels + _EYE * (1j * n * self.delta_p)[:, None, None]
+        if n not in self._singular:
+            self._singular[n] = _singular_rows(kernels)
+        singular = self._singular[n]
+        if singular.any():
             exc = SingularSteadyState if m == 0 else SingularKernel
-            raise exc(f"population kernel singular at (m={m}, n={n})")
-        u = (rhs_u * H3 - H2 * rhs_w) / det   # rho_{--}
-        w = (H1 * rhs_w + H4 * rhs_u) / det   # rho_{11}
-
-        trace = 1.0 if (m == 0 and n == 0) else 0.0
-        self._cache[("mm", m, n)] = u
-        self._cache[("11", m, n)] = w
-        self._cache[("pp", m, n)] = trace - u - w
-        self._cache[("m1", m, n)] = (alpha - s * (x4 * w + x2.conjugate() * u)) / g3
-        self._cache[("1m", m, n)] = (beta - s * (x4.conjugate() * w + x2 * u)) / g3c
-
-    def _solve_pair(self, m: int, n: int) -> None:
-        s, c = self._s, self._c
-        x2, x3 = self._x2, self._x3
-        g2 = self._denominator(self._gamma_1p, n)
-        g1 = self._denominator(self._gamma_mp, n)
-        p_src = 1j * (s * (self.get("11", m - 1, n + 1) - self.get("pp", m - 1, n + 1))
-                      + c * self.get("mp", m - 1, n + 1))
-        q_src = 1j * (s * self.get("m1", m - 1, n + 1)
-                      + c * self.get("1p", m - 1, n - 1))
-        det = g1 * g2 - s * s * x2 * x3
-        if abs(det) <= _REL_TOL * (abs(g1 * g2) + abs(s * s * x2 * x3)):
-            raise SingularKernel(f"coherence pair kernel singular at (m={m}, n={n})")
-        self._cache[("1p", m, n)] = (g1 * p_src - s * x2 * q_src) / det
-        self._cache[("mp", m, n)] = (g2 * q_src - s * x3 * p_src) / det
-
-    def _solve_pair_conjugate(self, m: int, n: int) -> None:
-        # independent evaluation of rho_{+1}, rho_{+-} from the conjugated
-        # equations of motion, not from the hermiticity identity
-        s, c = self._s, self._c
-        x2c, x3c = self._x2.conjugate(), self._x3.conjugate()
-        g2c = self._denominator(self._gamma_1p.conjugate(), n)
-        g1c = self._denominator(self._gamma_mp.conjugate(), n)
-        p_src = -1j * (s * (self.get("11", m - 1, n - 1) - self.get("pp", m - 1, n - 1))
-                       + c * self.get("pm", m - 1, n - 1))
-        q_src = -1j * (s * self.get("1m", m - 1, n - 1)
-                       + c * self.get("p1", m - 1, n + 1))
-        det = g1c * g2c - s * s * x2c * x3c
-        if abs(det) <= _REL_TOL * (abs(g1c * g2c) + abs(s * s * x2c * x3c)):
-            raise SingularKernel(f"coherence pair kernel singular at (m={m}, n={n})")
-        self._cache[("p1", m, n)] = (g1c * p_src - s * x2c * q_src) / det
-        self._cache[("pm", m, n)] = (g2c * q_src - s * x3c * p_src) / det
-
-
-def harmonic(idx: HarmonicIndex, delta_p: float, coeffs: CoefficientSet,
-             table: HarmonicTable | None = None) -> complex:
-    """Coefficient of Omega_p^m for one element/harmonic."""
-    if table is None:
-        table = HarmonicTable(coeffs, delta_p)
-    elif table.coeffs is not coeffs or table.delta_p != delta_p:
-        raise ValueError("table was built for different coefficients")
-    return table[idx]
+            for row in np.flatnonzero(np.broadcast_to(singular, (rows,))):
+                failures.setdefault(int(row), exc(
+                    f"kernel i n delta_p - A0 singular at (m={m}, n={n})"))
+            # identity stand-ins keep the stacked solve regular
+            kernels = np.where(singular[:, None, None], _EYE, kernels)
+        z = np.empty((len(rhs), TRACE + 1), dtype=complex)
+        z[:, :_DIM] = np.linalg.solve(kernels, rhs[..., None])[..., 0]
+        z[:, TRACE] = 1.0 if m == 0 else 0.0
+        return np.broadcast_to(z, (rows, TRACE + 1)), failures
 
 
 def zeroth_order_steady_state(coeffs: CoefficientSet) -> SteadyState0:
     """Stationary probe-free state: populations plus the rho_{-1} coherence.
 
-    The (0, 0) system is closed by eliminating rho_{-1} through its own
-    stationary equation and rho_{++} by the unit trace, which feeds the
-    constant source R_{+-} into the rho_{--} balance.
+    Order (0, 0) of the hierarchy: -A0 z = c0, with rho_{++} eliminated by
+    the unit trace.
     """
     table = HarmonicTable(coeffs, 0.0)
     return SteadyState0(
@@ -240,13 +234,3 @@ def zeroth_order_steady_state(coeffs: CoefficientSet) -> SteadyState0:
         rho_pp=table.get("pp", 0, 0).real,
         rho_m1=table.get("m1", 0, 0),
     )
-
-
-def probe_coherence(order: int, delta_p: float, coeffs: CoefficientSet,
-                    table: HarmonicTable | None = None) -> tuple[complex, complex]:
-    """((rho_{1+})_k^{-1}, (rho_{1-})_k^{-1}) for k = 1 or 3."""
-    if order not in (1, 3):
-        raise ValueError("probe order must be 1 or 3")
-    if table is None:
-        table = HarmonicTable(coeffs, delta_p)
-    return table.get("1p", order, -1), table.get("1m", order, -1)

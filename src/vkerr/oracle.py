@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dressed import CoefficientSet, dress
-from .floquet import SteadyState0
+from .floquet import STATE, SteadyState0
 from .params import SystemParams, effective_gamma12
 
 __all__ = [
@@ -209,9 +208,6 @@ def converged_steady_state(params: SystemParams, n_max_start: int = 2,
 # time-domain integration of the reduced equations
 # ---------------------------------------------------------------------------
 
-_STATE_ELEMENTS = ("mm", "11", "m1", "1m", "1p", "p1", "mp", "pm")
-
-
 def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
     """RHS of the reduced equations with explicit exp(+-i delta_p t) factors."""
     basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
@@ -261,6 +257,8 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
                           drift_tol: float = 1e-9, n_samples: int = 256,
                           rtol: float = 1e-10) -> LimitCycleRecord:
     """Integrate the reduced equations to their limit cycle and DFT it."""
+    from scipy.integrate import solve_ivp   # lazy: it dominates import time
+
     if delta_p == 0.0:
         raise ValueError("delta_p must be non-zero for a well-defined period")
     params = coeffs.params
@@ -294,7 +292,7 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
             raise NoLimitCycle(
                 f"period drift {drift:.3e} above {drift_tol:g} at t = {t0:g}")
 
-    trajectory = {name: block[i] for i, name in enumerate(_STATE_ELEMENTS)}
+    trajectory = {name: block[i] for i, name in enumerate(STATE)}
     trajectory["pp"] = 1.0 - trajectory["mm"] - trajectory["11"]
     herm_err = max(
         np.abs(trajectory["1m"] - trajectory["m1"].conj()).max(),

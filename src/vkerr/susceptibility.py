@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .dressed import CoefficientSet, coefficient_set
-from .floquet import HarmonicTable, SingularKernel, SingularSteadyState
-from .params import (ProbeGrid, RegimeAdvisory, SystemParams,
-                     effective_gamma12, probe_detuning_to_delta_p)
+from .floquet import STATE, HarmonicTable
+from .params import (ProbeGrid, SystemParams, effective_gamma12,
+                     probe_detuning_to_delta_p)
 
 __all__ = [
     "Susceptibility",
@@ -82,13 +82,28 @@ def chi(params: SystemParams, omega: float,
         raise ValueError("omega must be finite")
     if coeffs is None:
         coeffs = coefficient_set(params)
-    delta_p = probe_detuning_to_delta_p(omega, params)
+    (row,) = _susceptibilities(coeffs, [probe_detuning_to_delta_p(omega, params)])
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+def _susceptibilities(coeffs, delta_p: list) -> list:
+    """Susceptibility, or the exception that failed it, for every row.
+
+    ``coeffs`` is one CoefficientSet shared by all rows or one per row.
+    """
     table = HarmonicTable(coeffs, delta_p)
-    s, c = coeffs.basis.s, coeffs.basis.c
-    chi1 = -(s * table.get("1p", 1, -1) - c * table.get("1m", 1, -1))
-    chi3 = -(s * table.get("1p", 3, -1) - c * table.get("1m", 3, -1))
-    return Susceptibility(re_chi1=chi1.real, im_chi1=chi1.imag,
-                          re_chi3=chi3.real, im_chi3=chi3.imag)
+    sets = [coeffs] if isinstance(coeffs, CoefficientSet) else coeffs
+    s, c = np.array([(cs.basis.s, cs.basis.c) for cs in sets]).T
+    parts = []   # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
+    for k in (1, 3):
+        z, failures = table.solve(k, -1)   # order 3 inherits the failures of order 1
+        rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
+        parts += [(-(s * part(rho_1p) - c * part(rho_1m))).tolist()
+                  for part in (np.real, np.imag)]
+    return [failures.get(i) or Susceptibility(*values)
+            for i, values in enumerate(zip(*parts))]
 
 
 @dataclass(frozen=True)
@@ -130,12 +145,13 @@ def _row_params(params: SystemParams, axis_name: str, value: float) -> SystemPar
 
 
 def sweep(params: SystemParams, values, axis_name: str = "omega",
-          omega: float | None = None, threads: int = 1) -> SweepResult:
+          omega: float | None = None) -> SweepResult:
     """Evaluate chi across an axis; failed rows are recorded, not fatal.
 
     ``values`` is a ProbeGrid or any iterable of axis values.  For a
     parameter axis the probe detuning ``omega`` must be given and is held
-    fixed.  Rows are independent; ``threads`` > 1 evaluates them in a pool.
+    fixed.  All rows are solved as one batch; each row's result equals
+    ``chi`` at that row's parameters and probe detuning.
     """
     if axis_name not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}, got {axis_name!r}")
@@ -146,26 +162,29 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
         raise ValueError("parameter sweeps need a fixed omega")
 
     shared = coefficient_set(params) if axis_name == "omega" else None
-
-    def evaluate(value: float) -> SweepRow:
+    outcome = [None] * len(values)     # Susceptibility or exception per row
+    live, coeffs, delta_p = [], [], []
+    for i, value in enumerate(values):
         try:
-            if axis_name == "omega":
-                result = chi(params, value, coeffs=shared)
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RegimeAdvisory)
-                    row_params = _row_params(params, axis_name, value)
-                result = chi(row_params, omega)
-            return SweepRow(axis_value=value, result=result)
-        except (SingularKernel, SingularSteadyState, ValueError,
-                ArithmeticError) as exc:
-            return SweepRow(axis_value=value, error=f"{type(exc).__name__}: {exc}")
+            row_params = params if shared else _row_params(params, axis_name, value)
+            row_omega = value if shared else omega
+            if not math.isfinite(row_omega):
+                raise ValueError("omega must be finite")
+            row_coeffs = shared or coefficient_set(row_params)
+        except (ValueError, ArithmeticError) as exc:
+            outcome[i] = exc
+            continue
+        live.append(i)
+        coeffs.append(row_coeffs)
+        delta_p.append(probe_detuning_to_delta_p(row_omega, row_params))
+    if live:
+        for i, row in zip(live, _susceptibilities(shared or coeffs, delta_p)):
+            outcome[i] = row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(evaluate, values))
-    else:
-        rows = tuple(evaluate(v) for v in values)
+    rows = tuple(
+        SweepRow(axis_value=value, error=f"{type(row).__name__}: {row}")
+        if isinstance(row, Exception) else SweepRow(axis_value=value, result=row)
+        for value, row in zip(values, outcome))
     return SweepResult(axis_name=axis_name, rows=rows, params=params,
                        fixed_omega=omega)
 

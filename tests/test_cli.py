@@ -124,3 +124,13 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "vkerr.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only by the time-domain oracle and costs most of the
+    # import time; importing the command line must not pull it in
+    code = ("import sys, vkerr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

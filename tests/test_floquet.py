@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vkerr import (HarmonicIndex, HarmonicTable, coefficient_set,
-                   harmonic, probe_coherence, zeroth_order_steady_state)
-from vkerr.floquet import CONJUGATE_ELEMENT, ELEMENTS, POPULATIONS
+from vkerr import (HarmonicTable, SingularKernel, chi, coefficient_set,
+                   zeroth_order_steady_state)
+from vkerr.floquet import (CONJUGATE_ELEMENT, ELEMENTS, POPULATIONS,
+                           reduced_operators)
+from vkerr.oracle import _reduced_rhs
 
 from test_dressed import quiet_params, random_params
 
@@ -85,19 +89,6 @@ class TestHarmonicStructure:
             assert_hermitian_table(table)
             assert_trace_closure(table)
 
-    def test_harmonic_function_and_index(self, sideband_params):
-        cs = coefficient_set(sideband_params)
-        idx = HarmonicIndex("1m", 1, -1)
-        direct = harmonic(idx, 0.25, cs)
-        table = HarmonicTable(cs, 0.25)
-        assert harmonic(idx, 0.25, cs, table) == direct
-        with pytest.raises(ValueError):
-            HarmonicIndex("zz", 1, 0)
-        with pytest.raises(ValueError):
-            HarmonicIndex("1m", -1, 0)
-        with pytest.raises(ValueError):
-            harmonic(idx, 0.5, cs, table)   # table built for another delta_p
-
 
 class TestGoldenHarmonics:
     """Regression anchors frozen after oracle validation."""
@@ -119,27 +110,64 @@ class TestGoldenHarmonics:
 
 
 class TestProbeCoherence:
-    def test_orders_restricted(self, sideband_params):
-        cs = coefficient_set(sideband_params)
-        with pytest.raises(ValueError):
-            probe_coherence(2, 0.25, cs)
-
     def test_off_resonant_rolloff(self, sideband_params):
-        cs = coefficient_set(sideband_params)
-        s, c = cs.basis.s, cs.basis.c
-
-        def assembly(dp):
-            r1p, r1m = probe_coherence(1, dp, cs)
-            return abs(s * r1p - c * r1m)
-
-        assert assembly(1e4) < 1e-3 * assembly(0.25)
+        # omega at a given delta_p: delta_p = omega - omega21 + delta
+        offset = sideband_params.omega21 - sideband_params.delta
+        near, far = (abs(chi(sideband_params, dp + offset).chi1)
+                     for dp in (0.25, 1e4))
+        assert far < 1e-3 * near
 
     def test_matches_table_entries(self, sideband_params):
         cs = coefficient_set(sideband_params)
-        table = HarmonicTable(cs, 0.25)
-        r1p, r1m = probe_coherence(3, 0.25, cs, table)
-        assert r1p == table.get("1p", 3, -1)
-        assert r1m == table.get("1m", 3, -1)
+        dp = 0.25
+        omega = dp + sideband_params.omega21 - sideband_params.delta
+        table = HarmonicTable(cs, dp)
+        s, c = cs.basis.s, cs.basis.c
+        point = chi(sideband_params, omega, coeffs=cs)
+        for k, value in ((1, point.chi1), (3, point.chi3)):
+            assembled = -(s * table.get("1p", k, -1) - c * table.get("1m", k, -1))
+            assert value == pytest.approx(assembled, rel=1e-14, abs=1e-300)
+
+
+class TestBatchedSolve:
+    def test_singular_row_isolated(self):
+        # an undamped rho_{1+} (Gamma_plus = 0, no cavity) at delta_p equal
+        # to its bare rotation makes the (1, -1) kernel exactly singular;
+        # only that row of the stack fails, its neighbours are untouched
+        cs = coefficient_set(quiet_params(g1=0.0, g2=0.0, delta=0.0))
+        undamped = dataclasses.replace(
+            cs, rates=dataclasses.replace(cs.rates, Gamma_plus=0.0))
+        resonant = cs.basis.lambda_1 - cs.basis.lambda_plus
+        table = HarmonicTable([cs, undamped, cs], [0.25, resonant, 0.35])
+        z, failures = table.solve(3, -1)
+        assert set(failures) == {1}
+        assert isinstance(failures[1], SingularKernel)
+        assert "(m=1, n=-1)" in str(failures[1])
+        for row, dp in ((0, 0.25), (2, 0.35)):
+            alone, _ = HarmonicTable(cs, dp).solve(3, -1)
+            assert np.array_equal(z[row], alone[0])
+        with pytest.raises(SingularKernel):
+            HarmonicTable(undamped, resonant).get("1p", 1, -1)
+
+    def test_operators_match_reduced_rhs(self):
+        # the operators are transcribed independently of oracle._reduced_rhs;
+        # both must give the same time derivative at any (t, y)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            cs = coefficient_set(random_params(rng))
+            dp = rng.uniform(-3.0, 3.0)
+            wp = rng.uniform(0.0, 0.5)
+            t = rng.uniform(0.0, 50.0)
+            y = rng.normal(size=16)
+            z = y[0::2] + 1j * y[1::2]
+            zt = np.append(z, 1.0)     # the unit trace closes rho_{++}
+            a0, ap, am = reduced_operators([cs])[0]
+            ours = (a0 @ zt + wp * (np.exp(1j * dp * t) * (ap @ zt)
+                                    + np.exp(-1j * dp * t) * (am @ zt)))
+            ref = _reduced_rhs(cs, dp, wp)(t, y)
+            ref = ref[0::2] + 1j * ref[1::2]
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(ours - ref).max() <= 1e-12 * scale
 
 
 class TestIndependentConjugateRoutes:

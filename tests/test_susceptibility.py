@@ -84,17 +84,32 @@ class TestSweep:
         assert result.rows[1].error is None
         assert result.n_failed == 1
 
+    def test_failed_rows_stay_on_their_row(self, sideband_params):
+        # a non-finite omega and an invalid parameter fail only their own
+        # row of the batch; the rows around them equal the pointwise chi
+        result = sweep(sideband_params, [200.1, math.nan, 200.2])
+        assert [r.error is None for r in result.rows] == [True, False, True]
+        assert result.rows[1].error.startswith("ValueError")
+        assert result.rows[2].result == chi(sideband_params, 200.2)
+        result = sweep(sideband_params, [50.0, -1.0, 150.0], axis_name="kappa",
+                       omega=200.25)
+        assert [r.error is None for r in result.rows] == [True, False, True]
+        assert result.rows[1].error.startswith("ValueError")
+        assert result.rows[2].result == chi(
+            sideband_params.replace(kappa=150.0), 200.25)
+
     def test_omega_sweep_matches_pointwise(self, sideband_params):
         grid = ProbeGrid.from_range(200.0, 200.5, 0.25)
         result = sweep(sideband_params, grid)
         for row in result.rows:
             assert row.result == chi(sideband_params, row.axis_value)
 
-    def test_threaded_equals_serial(self, sideband_params):
-        grid = ProbeGrid.from_range(200.0, 200.4, 0.1)
-        serial = sweep(sideband_params, grid)
-        threaded = sweep(sideband_params, grid, threads=4)
-        assert serial.rows == threaded.rows
+    def test_parameter_sweep_matches_pointwise(self, sideband_params):
+        values = [0.0, 2.5, 5.0, 7.5]
+        result = sweep(sideband_params, values, axis_name="g1", omega=200.122)
+        for row in result.rows:
+            row_params = sideband_params.replace(g1=row.axis_value)
+            assert row.result == chi(row_params, 200.122)
 
     def test_parameter_sweep_requires_omega(self, sideband_params):
         with pytest.raises(ValueError):
