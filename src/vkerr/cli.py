@@ -17,7 +17,7 @@ from . import __version__
 from .dressed import coefficient_set
 from .floquet import zeroth_order_steady_state
 from .oracle import FockTruncation, converged_steady_state, lindblad_steady_state
-from .params import SystemParams, effective_gamma12, load_config
+from .params import ProbeGrid, SystemParams, effective_gamma12, load_config
 from .susceptibility import (chi, find_features, result_metadata, sweep,
                              write_csv, write_json)
 
@@ -121,15 +121,6 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _grid_values(start, stop, step):
-    if step is None or step <= 0:
-        raise ValueError("need a positive --step")
-    if start is None or stop is None:
-        raise ValueError("need --start and --stop")
-    n = int(round((stop - start) / step))
-    return [start + step * i for i in range(n + 1)]
-
-
 def _complexes(d):
     return {k: [v.real, v.imag] if isinstance(v, complex) else v
             for k, v in d.items()}
@@ -150,8 +141,12 @@ def _run_point(args) -> int:
 
 
 def _sweep_from_args(args, params):
-    values = _grid_values(args.start, args.stop, args.step)
-    return sweep(params, values, axis_name=args.axis, omega=args.omega)
+    if args.step is None:
+        raise ValueError("need --step")
+    if args.start is None or args.stop is None:
+        raise ValueError("need --start and --stop")
+    grid = ProbeGrid.from_range(args.start, args.stop, args.step)
+    return sweep(params, grid, axis_name=args.axis, omega=args.omega)
 
 
 def _run_sweep(args) -> int:
@@ -220,10 +215,11 @@ def _run_figure_preset(args) -> int:
     if getattr(args, "gamma12", None) is not None:
         params = params.replace(gamma12_override=args.gamma12)
     start, stop, step = preset["grid"]
-    values = _grid_values(args.start if args.start is not None else start,
-                          args.stop if args.stop is not None else stop,
-                          args.step if args.step is not None else step)
-    result = sweep(params, values, axis_name=preset["axis"],
+    grid = ProbeGrid.from_range(
+        args.start if args.start is not None else start,
+        args.stop if args.stop is not None else stop,
+        args.step if args.step is not None else step)
+    result = sweep(params, grid, axis_name=preset["axis"],
                    omega=preset.get("omega"))
     fmt = args.format or "csv"
     out = args.out or f"{args.preset}.{fmt}"

@@ -126,11 +126,29 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
+def _scipy_modules_after(code: str) -> list:
+    probe = (f"import sys; {code}; "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    return out.split()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is needed only by the time-domain oracle and costs most of the
     # import time; importing the command line must not pull it in
-    code = ("import sys, vkerr.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _scipy_modules_after("import vkerr.cli") == []
+
+
+def test_package_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import vkerr") == []
+
+
+def test_time_domain_oracle_needs_no_scipy_integrate():
+    # the oracle imports scipy.linalg lazily and nothing of scipy.integrate
+    loaded = _scipy_modules_after(
+        "import vkerr; vkerr.time_domain_reference("
+        "vkerr.coefficient_set(vkerr.SystemParams(g1=1.0, g2=3.0)), "
+        "omega_p=1e-3, delta_p=2.0, n_samples=32)")
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)
