@@ -1,20 +1,23 @@
 """Brute-force references for the analytic pipeline.
 
-Two independent checks live here:
+Two independent checks live here, on numpy alone:
 
 * ``lindblad_steady_state`` solves the full atom + cavity master equation
-  (probe off) on a truncated Fock space by a dense null-space solve, traces
-  out the cavity and rotates to the dressed basis.  It shares nothing with
-  the reduced dynamics except the two mixing amplitudes (c, s).
+  (probe off) on a truncated Fock space: the dense Liouvillian, built from
+  the effective Hamiltonian plus one jump term per decay channel, with one
+  diagonal row replaced by the trace condition, is solved by one LU
+  factorization.  It then traces out the cavity and rotates to the dressed
+  basis.  It shares nothing with the reduced dynamics except the two
+  mixing amplitudes (c, s).
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
   order.  It reads the affine generator off ``_reduced_rhs`` (the oracle's
   only model definition), builds the one-period monodromy map with a
-  fourth-order Magnus propagator, solves for the limit cycle as the map's
-  fixed point and reads harmonic amplitudes off a DFT over one period.
-  Step doubling bounds the propagator error.  This validates the Floquet
-  solve order by order.
+  fourth-order Magnus propagator (batched Pade-13 exponentials), solves
+  for the limit cycle as the map's fixed point and reads harmonic
+  amplitudes off a DFT over one period.  Step doubling bounds the
+  propagator error.  This validates the Floquet solve order by order.
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ class LimitCycleRecord:
 # full atom + cavity Lindblad oracle
 # ---------------------------------------------------------------------------
 
+# Above this estimate of cond_1 the trace-row system is treated as singular,
+# i.e. the Liouvillian null space as more than one-dimensional.
+_MAX_TRACE_ROW_COND = 1e10
+
+
 def atom_operators(n_max: int):
     """|l><k| atomic operators and the annihilation operator on atom x Fock."""
     dim_f = n_max + 1
@@ -107,21 +115,15 @@ def atom_operators(n_max: int):
     return ops, a
 
 
-def _dissipator(L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
-    """Superoperator of 2 L1 . L2+ - L2+ L1 . - . L2+ L1 (row-major vec)."""
-    d = L1.shape[0]
-    eye = np.eye(d)
-    L2d = L2.conj().T
-    anti = L2d @ L1
-    return (2.0 * np.kron(L1, L2d.T)
-            - np.kron(anti, eye) - np.kron(eye, anti.T))
-
-
 def liouvillian(params: SystemParams, trunc: FockTruncation) -> np.ndarray:
     """Dense probe-free Liouvillian of the full master equation.
 
     Row-major vectorization: vec(rho)[i*d+j] = rho[i, j].  With the probe
-    off the generator is time independent in the drive frame.
+    off the generator is time independent in the drive frame.  Each jump
+    pair (L1, L2) at rate gamma adds 2 gamma L1 rho L2+ and its share of
+    the anticommutator with K = sum gamma L2+ L1.  K is Hermitian (the
+    cross pair enters in both orders), so with H_eff = H - i K the rest is
+    -i H_eff rho + i rho H_eff+, and rho H_eff+ vectorizes to I x conj(H_eff).
     """
     ops, a = atom_operators(trunc.n_max)
     ad = a.conj().T
@@ -134,27 +136,48 @@ def liouvillian(params: SystemParams, trunc: FockTruncation) -> np.ndarray:
          + params.g1 * (ad @ ops[(0, 1)] + ops[(1, 0)] @ a)
          + params.g2 * (ad @ ops[(0, 2)] + ops[(2, 0)] @ a))
 
-    d = H.shape[0]
-    eye = np.eye(d)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    L = L + params.gamma1 * _dissipator(ops[(0, 1)], ops[(0, 1)])
-    L = L + params.gamma2 * _dissipator(ops[(0, 2)], ops[(0, 2)])
+    jumps = [(params.gamma1, ops[(0, 1)], ops[(0, 1)]),
+             (params.gamma2, ops[(0, 2)], ops[(0, 2)]),
+             (params.kappa, a, a)]
     if g12 != 0.0:
-        L = L + g12 * _dissipator(ops[(0, 1)], ops[(0, 2)])
-        L = L + g12 * _dissipator(ops[(0, 2)], ops[(0, 1)])
-    L = L + params.kappa * _dissipator(a, a)
+        jumps += [(g12, ops[(0, 1)], ops[(0, 2)]),
+                  (g12, ops[(0, 2)], ops[(0, 1)])]
+    h_eff = H - 1j * sum(rate * (L2.conj().T @ L1) for rate, L1, L2 in jumps)
+
+    eye = np.eye(H.shape[0])
+    L = np.kron(-1j * h_eff, eye)
+    L += np.kron(eye, 1j * h_eff.conj())
+    for rate, L1, L2 in jumps:
+        L += np.kron(2.0 * rate * L1, L2.conj())
     return L
 
 
 def _null_state(L: np.ndarray, dim: int) -> np.ndarray:
-    """Unique trace-one steady state from the Liouvillian null space."""
-    _, sing, vh = np.linalg.svd(L)
-    scale = sing[0]
-    null_dim = int(np.sum(sing <= 1e-10 * scale))
-    if null_dim != 1:
+    """Unique trace-one steady state of L, by one LU solve.
+
+    The diagonal rows of a trace-preserving L sum to zero, so rho_00's
+    equation is redundant and its row is replaced by the trace condition
+    vec(I) . x = 1 (Johansson, Nation & Nori, CPC 184, 1234 (2013)).  Two
+    fixed random right-hand sides share the factorization and give the
+    lower bound ||A||_1 max ||x_k|| / ||b_k|| on the condition number; a
+    singular or near-singular A means the null space is not one-dimensional.
+    """
+    A = L.copy()
+    A[0] = np.eye(dim).reshape(-1)
+    b = np.zeros((dim * dim, 3), dtype=complex)
+    b[0, 0] = 1.0
+    b[:, 1:] = np.random.default_rng(0).standard_normal((dim * dim, 2))
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateNullSpace(f"trace-row system singular: {exc}") from exc
+    growth = (np.abs(x).sum(axis=0) / np.abs(b).sum(axis=0)).max()
+    cond = np.abs(A).sum(axis=0).max() * growth
+    if not cond <= _MAX_TRACE_ROW_COND:
         raise DegenerateNullSpace(
-            f"null space dimension {null_dim}, expected 1")
-    rho = vh[-1].conj().reshape(dim, dim)
+            f"trace-row system condition estimate {cond:.3e} above "
+            f"{_MAX_TRACE_ROW_COND:g}: null space not one-dimensional")
+    rho = x[:, 0].reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return rho
@@ -294,9 +317,45 @@ def _affine_generator(coeffs: CoefficientSet, delta_p: float,
     return C, 0.5 * (p_plus_m + p_minus_m), 0.5 * (p_plus_m - p_minus_m)
 
 
-def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
-                 n_samples: int) -> np.ndarray:
-    """Propagators of z~ across each of the n_samples intervals of a period.
+# Pade-13 numerator coefficients and the 1-norm up to which the
+# unscaled approximant is accurate to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in an (n, m, m) stack: Pade-13, scaling and squaring.
+
+    One scaling exponent serves the whole stack, taken from its largest
+    1-norm, so every slice costs the same few batched products.  The
+    oracle's Magnus exponents have 1-norms near _MAX_STEP_PHASE, below
+    _THETA13, so they take no squaring.
+    """
+    norm = np.abs(a).sum(axis=-2).max()
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _magnus_exponents(C, P, M, delta_p: float, h: float,
+                      steps: np.ndarray) -> np.ndarray:
+    """Exponent Omega of each Magnus step k in ``steps``, over [k h, (k+1) h].
 
     Fourth-order Magnus step on the two Gauss-Legendre nodes,
     Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] (Blanes, Casas, Oteo &
@@ -304,23 +363,27 @@ def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
     commutator expands over three fixed commutators, so every Omega is a
     linear combination of six 9x9 matrices.
     """
-    from scipy.linalg import expm   # lazy: the analytic path needs no scipy
-
-    h = period / n_steps
     basis = np.stack([C, P, M, C @ P - P @ C, C @ M - M @ C, P @ M - M @ P])
     nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
     k = math.sqrt(3.0) * h * h / 12.0
+    e1, e2 = np.exp(1j * delta_p * h * (steps[:, None] + nodes)).T
+    w = np.stack([np.full(len(steps), h + 0j),
+                  0.5 * h * (e1 + e2), 0.5 * h * np.conj(e1 + e2),
+                  k * (e1 - e2), k * np.conj(e1 - e2),
+                  k * (e2 * np.conj(e1) - np.conj(e2) * e1)], axis=1)
+    # einsum, not tensordot: a threaded BLAS product here leaves worker
+    # threads spinning that slow every later small expm two- to threefold
+    return np.einsum("nk,kij->nij", w, basis)
 
-    def exponentials(steps):
-        e1, e2 = np.exp(1j * delta_p * h * (steps[:, None] + nodes)).T
-        w = np.stack([np.full(len(steps), h + 0j),
-                      0.5 * h * (e1 + e2), 0.5 * h * np.conj(e1 + e2),
-                      k * (e1 - e2), k * np.conj(e1 - e2),
-                      k * (e2 * np.conj(e1) - np.conj(e2) * e1)], axis=1)
-        # einsum, not tensordot: a threaded BLAS product here leaves worker
-        # threads spinning that slow every later small expm two- to threefold
-        return expm(np.einsum("nk,kij->nij", w, basis))
 
+def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
+                 n_samples: int) -> np.ndarray:
+    """Propagators of z~ across each of the n_samples intervals of a period.
+
+    Each is the ordered product of the interval's Magnus step exponentials,
+    taken _EXPM_CHUNK steps at a time.
+    """
+    h = period / n_steps
     per_sample = n_steps // n_samples
     batch = min(per_sample, _EXPM_CHUNK)                  # steps per interval
     intervals = max(1, _EXPM_CHUNK // per_sample)         # intervals per chunk
@@ -331,7 +394,8 @@ def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
         for j0 in range(0, per_sample, batch):
             j = np.arange(j0, min(j0 + batch, per_sample))
             steps = (np.arange(i0, i1)[:, None] * per_sample + j).ravel()
-            props = exponentials(steps).reshape(i1 - i0, len(j), 9, 9)
+            props = _expm(_magnus_exponents(C, P, M, delta_p, h, steps))
+            props = props.reshape(i1 - i0, len(j), 9, 9)
             for col in range(len(j)):
                 acc = props[:, col] if acc is None else props[:, col] @ acc
         maps[i0:i1] = acc

@@ -135,8 +135,8 @@ def _scipy_modules_after(code: str) -> list:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only by the time-domain oracle and costs most of the
-    # import time; importing the command line must not pull it in
+    # scipy costs most of the import time; importing the command line must
+    # not pull it in
     assert _scipy_modules_after("import vkerr.cli") == []
 
 
@@ -144,11 +144,9 @@ def test_package_import_leaves_scipy_unloaded():
     assert _scipy_modules_after("import vkerr") == []
 
 
-def test_time_domain_oracle_needs_no_scipy_integrate():
-    # the oracle imports scipy.linalg lazily and nothing of scipy.integrate
-    loaded = _scipy_modules_after(
+def test_time_domain_oracle_loads_no_scipy():
+    # both oracles run on numpy alone
+    assert _scipy_modules_after(
         "import vkerr; vkerr.time_domain_reference("
         "vkerr.coefficient_set(vkerr.SystemParams(g1=1.0, g2=3.0)), "
-        "omega_p=1e-3, delta_p=2.0, n_samples=32)")
-    assert "scipy.linalg" in loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
+        "omega_p=1e-3, delta_p=2.0, n_samples=32)") == []

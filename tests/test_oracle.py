@@ -1,18 +1,79 @@
 import numpy as np
 import pytest
 
-from vkerr import (FockTruncation, NoLimitCycle, coefficient_set,
-                   converged_steady_state, lindblad_steady_state,
-                   time_domain_reference, zeroth_order_steady_state)
+from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
+                   coefficient_set, converged_steady_state,
+                   lindblad_steady_state, time_domain_reference,
+                   zeroth_order_steady_state)
 from vkerr.floquet import STATE
-from vkerr.oracle import (_affine_generator, _reduced_rhs, _sample_maps,
-                          atom_operators, liouvillian)
+from vkerr.oracle import (_THETA13, _affine_generator, _expm,
+                          _magnus_exponents, _null_state, _reduced_rhs,
+                          _sample_maps, atom_operators, liouvillian)
+from vkerr.params import effective_gamma12
 
 from test_dressed import quiet_params, random_params
 
 # published exact-solve reference for the sideband operating point
 REF_EXACT = {"rho_11": 0.2082, "rho_pp": 0.2375, "rho_mm": 0.5543,
              "rho_m1": -0.0093 - 0.1755j}
+
+
+def _dissipator(L1, L2):
+    """Superoperator of 2 L1 . L2+ - L2+ L1 . - . L2+ L1 (row-major vec)."""
+    d = L1.shape[0]
+    eye = np.eye(d)
+    L2d = L2.conj().T
+    anti = L2d @ L1
+    return (2.0 * np.kron(L1, L2d.T)
+            - np.kron(anti, eye) - np.kron(eye, anti.T))
+
+
+def per_term_liouvillian(params, trunc):
+    """Reference Liouvillian: commutator plus one dissipator per jump pair."""
+    ops, a = atom_operators(trunc.n_max)
+    ad = a.conj().T
+    g12 = effective_gamma12(params)
+    H = (params.delta * ops[(2, 2)]
+         - (params.omega21 - params.delta) * ops[(1, 1)]
+         + params.omega_L_rabi * (ops[(0, 2)] + ops[(2, 0)])
+         + params.delta_c * (ad @ a)
+         + params.g1 * (ad @ ops[(0, 1)] + ops[(1, 0)] @ a)
+         + params.g2 * (ad @ ops[(0, 2)] + ops[(2, 0)] @ a))
+    eye = np.eye(H.shape[0])
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    L = L + params.gamma1 * _dissipator(ops[(0, 1)], ops[(0, 1)])
+    L = L + params.gamma2 * _dissipator(ops[(0, 2)], ops[(0, 2)])
+    if g12 != 0.0:
+        L = L + g12 * _dissipator(ops[(0, 1)], ops[(0, 2)])
+        L = L + g12 * _dissipator(ops[(0, 2)], ops[(0, 1)])
+    L = L + params.kappa * _dissipator(a, a)
+    return L
+
+
+def _svd_null_state(L, dim):
+    """Reference steady state: the singular vector of the smallest sigma."""
+    rho = np.linalg.svd(L)[2][-1].conj().reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _toy_liouvillian(energies, decays):
+    """d-level Liouvillian of H = diag(energies) and jumps |j><i| at rate g.
+
+    ``decays`` holds (g, i, j) for a decay i -> j.
+    """
+    d = len(energies)
+    H = np.diag(np.asarray(energies, dtype=float))
+    eye = np.eye(d)
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for g, i, j in decays:
+        jump = np.zeros((d, d))
+        jump[j, i] = 1.0
+        L = L + g * _dissipator(jump, jump)
+    return L
+
+
+TWO_SINKS = [(1.0, 1, 0), (1.0, 2, 1), (1.0, 4, 3), (1.0, 5, 4)]
 
 
 class TestLiouvillian:
@@ -24,6 +85,20 @@ class TestLiouvillian:
         tr_vec = np.eye(dim).reshape(-1)
         residual = np.abs(tr_vec @ L).max()
         assert residual <= 1e-12 * np.abs(L).max()
+
+    @pytest.mark.parametrize("draw", ["sideband", "theta"])
+    def test_matches_per_term_construction(self, sideband_params, draw):
+        # the effective-Hamiltonian build against one kron per dissipator
+        # term; the theta draw switches the cross-damping pair on
+        params = sideband_params
+        if draw == "theta":
+            params = random_params(np.random.default_rng(11))
+            params = params.replace(theta=0.6)
+            assert effective_gamma12(params) != 0.0
+        trunc = FockTruncation(3)
+        ours = liouvillian(params, trunc)
+        ref = per_term_liouvillian(params, trunc)
+        assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_operators(self):
         ops, a = atom_operators(2)
@@ -53,6 +128,13 @@ class TestLindbladSteadyState:
         assert ss.rho_mm == pytest.approx(REF_EXACT["rho_mm"], abs=2e-3)
         assert abs(ss.rho_m1 - REF_EXACT["rho_m1"]) < 2e-3
 
+    @pytest.mark.parametrize("n_max", [4, 8])
+    def test_matches_svd_null_vector(self, sideband_params, n_max):
+        L = liouvillian(sideband_params, FockTruncation(n_max))
+        dim = 3 * (n_max + 1)
+        rho = _null_state(L, dim)
+        assert np.abs(rho - _svd_null_state(L, dim)).max() <= 1e-10
+
     def test_cutoff_convergence(self, sideband_params):
         a = lindblad_steady_state(sideband_params, FockTruncation(3))
         b = lindblad_steady_state(sideband_params, FockTruncation(4))
@@ -69,6 +151,65 @@ class TestLindbladSteadyState:
         analytic = zeroth_order_steady_state(coefficient_set(sideband_params))
         for name in ("rho_11", "rho_mm", "rho_pp", "rho_m1"):
             assert abs(getattr(numeric, name) - getattr(analytic, name)) <= 4e-3
+
+
+class TestNullState:
+    # a Liouvillian whose null space is not one-dimensional leaves the
+    # trace-row system singular; that must surface as the typed error
+    @pytest.mark.parametrize("decays", [[], TWO_SINKS],
+                             ids=["pure-hamiltonian", "two-sinks"])
+    def test_singular_system_is_typed(self, decays):
+        L = _toy_liouvillian(np.arange(6.0), decays)
+        with pytest.raises(DegenerateNullSpace):
+            _null_state(L, 6)
+
+    def test_near_degenerate_system_trips_condition_bound(self):
+        # a 1e-12 leak from the second sink into the first makes the steady
+        # state unique but the system numerically singular
+        L = _toy_liouvillian(np.arange(6.0), TWO_SINKS + [(1e-12, 3, 0)])
+        with pytest.raises(DegenerateNullSpace, match="condition estimate"):
+            _null_state(L, 6)
+
+    def test_unique_state_of_a_single_sink(self):
+        L = _toy_liouvillian(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
+        rho = _null_state(L, 3)
+        assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() <= 1e-14
+
+
+def _expm_rel_error(a):
+    from scipy.linalg import expm
+    ours, ref = _expm(a), expm(a)
+    return (np.abs(ours - ref).sum(axis=-2).max(axis=-1)
+            / np.abs(ref).sum(axis=-2).max(axis=-1)).max()
+
+
+class TestExpm:
+    def test_sideband_magnus_batch(self, sideband_params):
+        # the exponents the oracle itself takes at the sideband point
+        cs = coefficient_set(sideband_params)
+        C, P, M = _affine_generator(cs, 0.25, 1e-3)
+        h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
+        omega = _magnus_exponents(C, P, M, 0.25, h, np.arange(1024))
+        assert np.abs(omega).sum(axis=-2).max() < _THETA13
+        assert _expm_rel_error(omega) <= 1e-13
+
+    @pytest.mark.parametrize("lo, hi",
+                             [(1e-3, 5.0), (6.0, 50.0), (1e-3, 50.0)],
+                             ids=["unscaled", "squared", "mixed"])
+    def test_random_batches(self, lo, hi):
+        # one scaling exponent per batch: the first batch stays below
+        # theta_13 (no squaring), the others are squared up to 2^4 times
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(64, 9, 9)) + 1j * rng.normal(size=(64, 9, 9))
+        norms = np.exp(rng.uniform(np.log(lo), np.log(hi), 64))
+        a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        assert (np.abs(a).sum(axis=-2).max() > _THETA13) == (hi > _THETA13)
+        assert _expm_rel_error(a) <= 1e-13
+
+    def test_zero_is_identity(self):
+        # a zero 1-norm takes no logarithm
+        identity = _expm(np.zeros((2, 9, 9), dtype=complex))
+        assert np.abs(identity - np.eye(9)).max() <= 1e-15
 
 
 @pytest.fixture(scope="module")
