@@ -12,16 +12,16 @@ and direct time integration of the reduced equations) back every step.
 
 from .dressed import (CavityResponse, CoefficientSet, DegenerateDressing,
                       DressedBasis, InterferenceTerms, RateSet,
-                      cavity_response, coefficient_set, dress,
-                      interference_terms, rate_set)
+                      cavity_response, coefficient_rows, coefficient_set,
+                      dress, interference_terms, rate_set)
 from .floquet import (HarmonicTable, SingularKernel, SingularSteadyState,
                       SteadyState0, zeroth_order_steady_state)
 from .oracle import (DegenerateNullSpace, FockTruncation, LimitCycleRecord,
                      NoLimitCycle, NonConvergedTruncation,
                      converged_steady_state, lindblad_steady_state,
                      time_domain_reference)
-from .params import (ProbeGrid, RegimeAdvisory, SystemParams,
-                     effective_gamma12, load_config,
+from .params import (ParameterColumns, ProbeGrid, RegimeAdvisory,
+                     SystemParams, effective_gamma12, load_config,
                      probe_detuning_to_delta_p)
 from .susceptibility import (FeatureReport, Susceptibility, SweepResult,
                              SweepRow, chi, find_features, sweep, write_csv,
@@ -31,12 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "SystemParams", "ProbeGrid", "RegimeAdvisory",
+    "SystemParams", "ParameterColumns", "ProbeGrid", "RegimeAdvisory",
     "effective_gamma12", "probe_detuning_to_delta_p", "load_config",
     "DressedBasis", "CavityResponse", "InterferenceTerms", "RateSet",
     "CoefficientSet", "DegenerateDressing",
     "dress", "cavity_response", "interference_terms", "rate_set",
-    "coefficient_set",
+    "coefficient_set", "coefficient_rows",
     "HarmonicTable", "SteadyState0",
     "SingularKernel", "SingularSteadyState",
     "zeroth_order_steady_state",

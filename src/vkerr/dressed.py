@@ -12,14 +12,23 @@ every rate picks up a cavity filter B_i = (amplitude^2) * kappa / (kappa +
 i(delta_c - nu)) evaluated at the dressed emission frequency nu, and the
 shared mode generates cross couplings x_1..x_4 between the two transitions
 that play the role of a spontaneously generated coherence.
+
+Every formula is written once, as NumPy arithmetic along a row axis:
+``coefficient_rows`` evaluates it on ParameterColumns, one row per
+parameter set, and ``coefficient_set`` is the one-row call with its fields
+unpacked to Python numbers.  Because a single point is a one-row batch too,
+a row's coefficients are bitwise the same whichever batch computes them.
+``dress``, ``cavity_response``, ``interference_terms`` and ``rate_set``
+also accept a SystemParams and then return numbers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .params import SystemParams, effective_gamma12
+import numpy as np
+
+from .params import ParameterColumns, SystemParams, _sqrt, effective_gamma12
 
 __all__ = [
     "DegenerateDressing",
@@ -33,6 +42,7 @@ __all__ = [
     "interference_terms",
     "rate_set",
     "coefficient_set",
+    "coefficient_rows",
 ]
 
 
@@ -92,34 +102,68 @@ class RateSet:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Everything the reduced dynamics needs, for one parameter set."""
-    params: SystemParams
-    gamma12: float
+    """Everything the reduced dynamics needs, for one or many parameter sets.
+
+    ``coefficient_set`` fills the fields with numbers for one SystemParams;
+    ``coefficient_rows`` fills them with 1-D arrays, one row per row of a
+    ParameterColumns.
+    """
+    params: SystemParams | ParameterColumns
+    gamma12: float | np.ndarray
     basis: DressedBasis
     response: CavityResponse
     interference: InterferenceTerms
     rates: RateSet
 
+    @property
+    def blocks(self) -> tuple:
+        return self.basis, self.response, self.interference, self.rates
 
-def dress(params: SystemParams) -> DressedBasis:
-    """Dressed mixing amplitudes and eigenvalues of the driven transition."""
-    omega_R = math.sqrt(params.delta ** 2 + 4.0 * params.omega_L_rabi ** 2)
-    if omega_R == 0.0:
-        raise DegenerateDressing("omega_L_rabi = 0 and delta = 0")
-    c2 = 0.5 + params.delta / (2.0 * omega_R)
-    s2 = 0.5 - params.delta / (2.0 * omega_R)
-    # clip tiny negative round-off at |delta| >> Omega_L
-    c = math.sqrt(max(c2, 0.0))
-    s = math.sqrt(max(s2, 0.0))
+    def take(self, rows) -> "CoefficientSet":
+        """An array-valued set restricted to ``rows``."""
+        pick = (lambda column: column[rows])
+        return CoefficientSet(_map_fields(pick, self.params), self.gamma12[rows],
+                              *(_map_fields(pick, b) for b in self.blocks))
+
+
+def _map_fields(fn, block):
+    """The dataclass ``block`` with ``fn`` applied to every field that is set."""
+    return type(block)(*[None if v is None else fn(v)
+                         for v in vars(block).values()])
+
+
+_DEGENERATE = "omega_L_rabi = 0 and delta = 0"
+
+
+def _rabi_frequency(params):
+    return _sqrt(params.delta ** 2 + 4.0 * params.omega_L_rabi ** 2)
+
+
+def dress(params) -> DressedBasis:
+    """Dressed mixing amplitudes and eigenvalues of the driven transition.
+
+    Raises DegenerateDressing if Omega_R = 0 on any row.
+    """
+    omega_R = _rabi_frequency(params)
+    if not np.all(omega_R):
+        raise DegenerateDressing(_DEGENERATE)
+    return _dress(params, omega_R)
+
+
+def _dress(params, omega_R) -> DressedBasis:
+    half_gap = params.delta / (2.0 * omega_R)     # (c^2 - s^2) / 2
+    c2, s2 = 0.5 + half_gap, 0.5 - half_gap
     return DressedBasis(
-        c=c, s=s, omega_R=omega_R,
+        # clip tiny negative round-off at |delta| >> Omega_L
+        c=_sqrt(np.maximum(c2, 0.0)), s=_sqrt(np.maximum(s2, 0.0)),
+        omega_R=omega_R,
         lambda_plus=c2 * omega_R,
         lambda_minus=-s2 * omega_R,
         lambda_1=-(params.omega21 - params.delta),
     )
 
 
-def cavity_response(params: SystemParams, basis: DressedBasis,
+def cavity_response(params, basis: DressedBasis,
                     near_degenerate: bool = False) -> CavityResponse:
     """Cavity filters B0..B4.
 
@@ -129,20 +173,21 @@ def cavity_response(params: SystemParams, basis: DressedBasis,
     """
     kappa = params.kappa
     dc = params.delta_c
-    c2 = basis.c ** 2
-    s2 = basis.s ** 2
-    B0 = c2 * kappa / (kappa + 1j * dc)
-    B1 = s2 * kappa / (kappa + 1j * (dc + basis.omega_R))
-    B2 = c2 * kappa / (kappa + 1j * (dc - basis.omega_R))
+    c2k = basis.c ** 2 * kappa
+    s2k = basis.s ** 2 * kappa
+    B0 = c2k / (kappa + 1j * dc)
+    B1 = s2k / (kappa + 1j * (dc + basis.omega_R))
+    B2 = c2k / (kappa + 1j * (dc - basis.omega_R))
     if near_degenerate:
         B3, B4 = B1, B0
     else:
-        B3 = s2 * kappa / (kappa + 1j * (dc + params.omega21 - basis.lambda_minus))
-        B4 = c2 * kappa / (kappa + 1j * (dc + params.omega21 - basis.lambda_plus))
+        dc21 = dc + params.omega21
+        B3 = s2k / (kappa + 1j * (dc21 - basis.lambda_minus))
+        B4 = c2k / (kappa + 1j * (dc21 - basis.lambda_plus))
     return CavityResponse(B0=B0, B1=B1, B2=B2, B3=B3, B4=B4)
 
 
-def interference_terms(params: SystemParams, basis: DressedBasis,
+def interference_terms(params, basis: DressedBasis,
                        resp: CavityResponse) -> InterferenceTerms:
     c, s = basis.c, basis.s
     g12 = effective_gamma12(params)
@@ -155,24 +200,20 @@ def interference_terms(params: SystemParams, basis: DressedBasis,
     )
 
 
-def _lorentzian(kappa: float, detuning: float) -> float:
-    return kappa * kappa / (kappa * kappa + detuning * detuning)
-
-
-def rate_set(params: SystemParams, basis: DressedBasis,
-             resp: CavityResponse) -> RateSet:
+def rate_set(params, basis: DressedBasis, resp: CavityResponse) -> RateSet:
     c, s = basis.c, basis.s
     c2, s2 = c * c, s * s
-    g1sq = params.g1 ** 2 / params.kappa
-    g2sq = params.g2 ** 2 / params.kappa
     kappa = params.kappa
+    g1sq = params.g1 ** 2 / kappa
+    g2sq = params.g2 ** 2 / kappa
     dc = params.delta_c
+    dc21 = dc + params.omega21
 
     # |B_i|^2 / amplitude^4 written as unit Lorentzians; removable 0/0 at c or s = 0
-    L1 = _lorentzian(kappa, dc + basis.omega_R)
-    L2 = _lorentzian(kappa, dc - basis.omega_R)
-    L3 = _lorentzian(kappa, dc + params.omega21 - basis.lambda_minus)
-    L4 = _lorentzian(kappa, dc + params.omega21 - basis.lambda_plus)
+    kk = kappa * kappa
+    L1, L2, L3, L4 = (kk / (kk + d * d) for d in (
+        dc + basis.omega_R, dc - basis.omega_R,
+        dc21 - basis.lambda_minus, dc21 - basis.lambda_plus))
 
     R_pm = 2.0 * c2 * c2 * (params.gamma2 + g2sq * L2)
     R_mp = 2.0 * s2 * s2 * (params.gamma2 + g2sq * L1)
@@ -181,36 +222,69 @@ def rate_set(params: SystemParams, basis: DressedBasis,
 
     B0, B1, B2, B3, B4 = resp.B0, resp.B1, resp.B2, resp.B3, resp.B4
     Gamma0 = (params.gamma2 * (1.0 + 2.0 * c2 * s2)
-              + g2sq * (s2 * (2.0 * B0 + 2.0 * B0.conjugate() + B1) + c2 * B2))
-    Gamma_minus = (params.gamma1 + g1sq * (B3.conjugate() + B4.conjugate())
-                   + s2 * (params.gamma2 + g2sq * (B0 + B1)))
-    Gamma_plus = (params.gamma1 + g1sq * (B3.conjugate() + B4.conjugate())
-                  + c2 * (params.gamma2 + g2sq * B2) + s2 * g2sq * B0)
+              + g2sq * (s2 * (2.0 * (B0 + B0.conjugate()) + B1) + c2 * B2))
+    # gamma1 and the g1 channel enter Gamma_- and Gamma_+ alike
+    probe_line = params.gamma1 + g1sq * (B3.conjugate() + B4.conjugate())
+    Gamma_minus = probe_line + s2 * (params.gamma2 + g2sq * (B0 + B1))
+    Gamma_plus = (probe_line + c2 * (params.gamma2 + g2sq * B2)
+                  + s2 * g2sq * B0)
     # rho_{-+} damping: B2 sits on the |+> (right) side, so it enters conjugated
     gamma0_pair = Gamma0 + c2 * g2sq * (B2.conjugate() - B2)
 
-    shift = basis.lambda_plus - params.omega21
+    shift = 1j * (basis.lambda_plus - params.omega21)
     return RateSet(
         R_plus_minus=R_pm, R_minus_plus=R_mp,
         R_1_minus=R_1m, R_1_plus=R_1p,
         Gamma0=Gamma0, Gamma_minus=Gamma_minus, Gamma_plus=Gamma_plus,
         Gamma1=Gamma0 + 1j * basis.omega_R,
-        Gamma2=Gamma_plus - 1j * shift,
-        Gamma3=Gamma_minus - 1j * shift,
+        Gamma2=Gamma_plus - shift,
+        Gamma3=Gamma_minus - shift,
         gamma0_pair=gamma0_pair,
     )
 
 
+def coefficient_rows(params: ParameterColumns,
+                     near_degenerate: bool = False) -> tuple:
+    """(set, failures): every coefficient block, one array row per parameter row.
+
+    ``failures`` maps a row without coefficients to its exception:
+    DegenerateDressing where Omega_R = 0, OverflowError where a coefficient
+    leaves the floating-point range.  Those rows hold nan or inf; ``take``
+    drops them.
+    """
+    with np.errstate(all="ignore"):
+        omega_R = _rabi_frequency(params)
+        basis = _dress(params, omega_R)
+        resp = cavity_response(params, basis, near_degenerate=near_degenerate)
+        coeffs = CoefficientSet(
+            params=params,
+            gamma12=effective_gamma12(params),
+            basis=basis,
+            response=resp,
+            interference=interference_terms(params, basis, resp),
+            rates=rate_set(params, basis, resp),
+        )
+    values = [v for block in coeffs.blocks for v in vars(block).values()]
+    finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
+    failures = {}
+    if not finite.all():     # Omega_R = 0 leaves nan in c and s
+        for row in np.flatnonzero(~finite):
+            failures[int(row)] = (
+                DegenerateDressing(_DEGENERATE) if omega_R[row] == 0.0 else
+                OverflowError("coefficients overflow the floating-point range"))
+    return coeffs, failures
+
+
 def coefficient_set(params: SystemParams,
                     near_degenerate: bool = False) -> CoefficientSet:
-    """Assemble every coefficient block for one parameter set."""
-    basis = dress(params)
-    resp = cavity_response(params, basis, near_degenerate=near_degenerate)
-    return CoefficientSet(
-        params=params,
-        gamma12=effective_gamma12(params),
-        basis=basis,
-        response=resp,
-        interference=interference_terms(params, basis, resp),
-        rates=rate_set(params, basis, resp),
-    )
+    """Every coefficient block for one parameter set, as Python numbers.
+
+    Computed as a one-row ``coefficient_rows``, so the numbers are those of
+    the same row in any batch.
+    """
+    coeffs, failures = coefficient_rows(ParameterColumns.along(params),
+                                        near_degenerate=near_degenerate)
+    if failures:
+        raise failures[0]
+    return CoefficientSet(params, coeffs.gamma12.item(),
+                          *(_map_fields(np.ndarray.item, b) for b in coeffs.blocks))

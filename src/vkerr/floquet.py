@@ -74,59 +74,58 @@ class SteadyState0:
     rho_m1: complex
 
 
-def _equations(coeffs: CoefficientSet) -> tuple:
-    """[A0|c0], [A+|c+], [A-|c-] as {row: {column: value}}, one entry an equation.
-
-    Column TRACE holds the constant, which multiplies the trace of the state.
-    """
-    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
-    c, s = basis.c, basis.s
-    x1, x2, x3, x4 = x.x1, x.x2, x.x3, x.x4
-    x1c, x2c, x3c, x4c = x1.conjugate(), x2.conjugate(), x3.conjugate(), x4.conjugate()
-    # drift constants: damping + i * (bare rotation of the element)
-    g_m1 = r.Gamma3
-    g_1p = r.Gamma_plus.conjugate() + 1j * (basis.lambda_1 - basis.lambda_plus)
-    g_mp = r.gamma0_pair - 1j * basis.omega_R
-    mm, p11, m1, om, op, po, mp, pm = range(_DIM)
-    # probe-free dynamics; rho_{++} = trace - mm - 11 feeds the mm balance
-    a0 = {mm: {mm: -(r.R_minus_plus + r.R_plus_minus), p11: r.R_1_minus - r.R_plus_minus,
-               m1: s * x1, om: s * x1c, TRACE: r.R_plus_minus},
-          p11: {p11: -(r.R_1_plus + r.R_1_minus), m1: -s * x2, om: -s * x2c},
-          m1: {m1: -g_m1, p11: -s * x4, mm: -s * x2c},
-          om: {om: -g_m1.conjugate(), p11: -s * x4c, mm: -s * x2},
-          op: {op: -g_1p, mp: -s * x2},
-          po: {po: -g_1p.conjugate(), pm: -s * x2c},
-          mp: {mp: -g_mp, op: -s * x3},
-          pm: {pm: -g_mp.conjugate(), po: -s * x3c}}
-    # probe coupling, coefficient of Omega_p e^{+i d t}
-    a_plus = {mm: {om: 1j * c},
-              p11: {op: 1j * s, om: -1j * c},
-              m1: {mp: 1j * s, p11: 1j * c, mm: -1j * c},
-              po: {p11: -2j * s, mm: -1j * s, pm: -1j * c, TRACE: 1j * s},
-              mp: {op: 1j * c},
-              pm: {om: -1j * s}}
-    # probe coupling, coefficient of Omega_p e^{-i d t}
-    a_minus = {mm: {m1: -1j * c},
-               p11: {po: -1j * s, m1: 1j * c},
-               om: {pm: -1j * s, p11: -1j * c, mm: 1j * c},
-               op: {p11: 2j * s, mm: 1j * s, mp: 1j * c, TRACE: -1j * s},
-               mp: {m1: 1j * s},
-               pm: {po: -1j * c}}
-    return a0, a_plus, a_minus
-
-
-def reduced_operators(coeff_sets) -> np.ndarray:
+def reduced_operators(coeffs: CoefficientSet) -> np.ndarray:
     """Stacked operators, shape (rows, 3, 8, 9): [A0|c0], [A+|c+], [A-|c-].
 
-    Every entry is computed in scalar arithmetic per coefficient set, so a
-    row's operators do not depend on which other rows share the stack.
+    ``coeffs`` holds numbers (one row) or 1-D arrays (one row each).  Column
+    TRACE holds the constant, which multiplies the trace of the state.  Each
+    entry is one array expression over the rows, so a row's operators do not
+    depend on which other rows share the stack.
     """
-    equations = [_equations(cs) for cs in coeff_sets]
-    k, row, col = zip(*[(k, row, col) for k, eqs in enumerate(equations[0])
-                        for row, terms in eqs.items() for col in terms])
-    ops = np.zeros((len(equations), 3, _DIM, TRACE + 1), dtype=complex)
-    ops[:, k, row, col] = [[v for eqs in e for terms in eqs.values()
-                            for v in terms.values()] for e in equations]
+    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
+    (c, s, omega_R, lambda_1, lambda_plus, x1, x2, x3, x4, R_mp, R_pm, R_1m,
+     R_1p, gamma_plus, g_m1, gamma0_pair) = np.atleast_1d(
+        basis.c, basis.s, basis.omega_R, basis.lambda_1, basis.lambda_plus,
+        x.x1, x.x2, x.x3, x.x4, r.R_minus_plus, r.R_plus_minus, r.R_1_minus,
+        r.R_1_plus, r.Gamma_plus, r.Gamma3, r.gamma0_pair)
+    # drift constants: damping + i * (bare rotation of the element)
+    g_1p = gamma_plus.conj() + 1j * (lambda_1 - lambda_plus)
+    g_mp = gamma0_pair - 1j * omega_R
+    ms, ic, mic, i_s, mis = -s, 1j * c, -1j * c, 1j * s, -1j * s
+    mm, p11, m1, om, op, po, mp, pm = range(_DIM)
+    ops = np.zeros((len(c), 3, _DIM, TRACE + 1), dtype=complex)
+    a0, a_plus, a_minus = ops[:, 0], ops[:, 1], ops[:, 2]
+    # probe-free dynamics; rho_{++} = trace - mm - 11 feeds the mm balance
+    a0[:, mm, mm] = -(R_mp + R_pm)
+    a0[:, mm, p11] = R_1m - R_pm
+    a0[:, mm, m1] = s * x1
+    a0[:, mm, om] = s * x1.conj()
+    a0[:, mm, TRACE] = R_pm
+    a0[:, p11, p11] = -(R_1p + R_1m)
+    a0[:, p11, m1] = a0[:, om, mm] = a0[:, op, mp] = ms * x2
+    a0[:, p11, om] = a0[:, m1, mm] = a0[:, po, pm] = ms * x2.conj()
+    a0[:, m1, m1] = -g_m1
+    a0[:, m1, p11] = ms * x4
+    a0[:, om, om] = -g_m1.conj()
+    a0[:, om, p11] = ms * x4.conj()
+    a0[:, op, op] = -g_1p
+    a0[:, po, po] = -g_1p.conj()
+    a0[:, mp, mp] = -g_mp
+    a0[:, mp, op] = ms * x3
+    a0[:, pm, pm] = -g_mp.conj()
+    a0[:, pm, po] = ms * x3.conj()
+    # probe coupling, coefficient of Omega_p e^{+i d t}
+    a_plus[:, mm, om] = a_plus[:, m1, p11] = a_plus[:, mp, op] = ic
+    a_plus[:, p11, op] = a_plus[:, m1, mp] = a_plus[:, po, TRACE] = i_s
+    a_plus[:, p11, om] = a_plus[:, m1, mm] = a_plus[:, po, pm] = mic
+    a_plus[:, po, mm] = a_plus[:, pm, om] = mis
+    a_plus[:, po, p11] = -2j * s
+    # probe coupling, coefficient of Omega_p e^{-i d t}
+    a_minus[:, p11, m1] = a_minus[:, om, mm] = a_minus[:, op, mp] = ic
+    a_minus[:, op, mm] = a_minus[:, mp, m1] = i_s
+    a_minus[:, mm, m1] = a_minus[:, om, p11] = a_minus[:, pm, po] = mic
+    a_minus[:, p11, po] = a_minus[:, om, pm] = a_minus[:, op, TRACE] = mis
+    a_minus[:, op, p11] = 2j * s
     return ops
 
 
@@ -134,32 +133,35 @@ def _singular_rows(kernels: np.ndarray) -> np.ndarray:
     """Rows with |det| below _REL_TOL times the product of the row norms.
 
     By Hadamard's bound the test is scale free; non-finite rows count too.
+    Called under np.errstate(all="ignore"): a zero row norm logs to -inf.
     """
     _, logdet = np.linalg.slogdet(kernels)
-    with np.errstate(divide="ignore"):
-        lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
+    lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
     return ~(logdet > lognorms + math.log(_REL_TOL))
 
 
 class HarmonicTable:
     """Memoized harmonic vectors z_m^n for a batch of rows.
 
-    ``coeffs`` is one CoefficientSet shared by every probe detuning in
-    ``delta_p``, or a sequence with one CoefficientSet per detuning; a
-    scalar ``delta_p`` makes a one-row table.  Each order is solved for all
-    rows with one stacked 8x8 solve.  A row whose kernel is singular records
-    its error and the other rows are unaffected: every row is bitwise
-    independent of the batch it sits in.
+    ``coeffs`` is one CoefficientSet.  With numbers (``coefficient_set``) or
+    one-row arrays it is shared by every probe detuning in ``delta_p``; with
+    arrays of one row per detuning (``coefficient_rows``) each row has its
+    own.  A scalar ``delta_p`` makes a one-row table.  Each order is solved
+    for all rows with one stacked 8x8 solve.  A row whose kernel is singular,
+    or whose solution is not finite, records its error and the other rows are
+    unaffected: every row is bitwise independent of the batch it sits in.
     """
 
-    def __init__(self, coeffs, delta_p):
-        sets = [coeffs] if isinstance(coeffs, CoefficientSet) else list(coeffs)
+    def __init__(self, coeffs: CoefficientSet, delta_p):
         self.delta_p = np.atleast_1d(np.asarray(delta_p, dtype=float))
-        if self.delta_p.ndim != 1 or len(sets) not in (1, len(self.delta_p)):
-            raise ValueError("need one coefficient set, or one per delta_p")
-        self._ops = reduced_operators(sets)
+        self._ops = reduced_operators(coeffs)
+        if self.delta_p.ndim != 1 or len(self._ops) not in (1, len(self.delta_p)):
+            raise ValueError("need one coefficient row, or one per delta_p")
         self._orders: dict = {}
         self._singular: dict = {}
+        # every order outside the reachable cone, shared and read-only
+        self._zero = np.zeros((len(self.delta_p), TRACE + 1), dtype=complex)
+        self._zero.flags.writeable = False
 
     def get(self, element: str, m: int, n: int) -> complex:
         """Coefficient of Omega_p^m e^{i n delta_p t} in one element (one row)."""
@@ -183,9 +185,15 @@ class HarmonicTable:
         """
         if abs(n) > m or (m - n) % 2:
             # outside the reachable cone: every source vanishes identically
-            return np.zeros((len(self.delta_p), TRACE + 1), dtype=complex), {}
+            return self._zero, {}
         if (m, n) not in self._orders:
-            self._orders[m, n] = self._solve_order(m, n)
+            # bottom up through the orders (m, n) draws on; non-finite rows
+            # become failures, so numpy's warnings are not needed
+            with np.errstate(all="ignore"):
+                for k in range(m + 1):
+                    for j in range(max(n - m + k, -k), min(n + m - k, k) + 1, 2):
+                        if (k, j) not in self._orders:
+                            self._orders[k, j] = self._solve_order(k, j)
         return self._orders[m, n]
 
     def _solve_order(self, m: int, n: int) -> tuple:
@@ -208,16 +216,22 @@ class HarmonicTable:
         if n not in self._singular:
             self._singular[n] = _singular_rows(kernels)
         singular = self._singular[n]
-        if singular.any():
-            exc = SingularSteadyState if m == 0 else SingularKernel
-            for row in np.flatnonzero(np.broadcast_to(singular, (rows,))):
-                failures.setdefault(int(row), exc(
-                    f"kernel i n delta_p - A0 singular at (m={m}, n={n})"))
+        any_singular = singular.any()
+        if any_singular:
             # identity stand-ins keep the stacked solve regular
             kernels = np.where(singular[:, None, None], _EYE, kernels)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)
         z[:, :_DIM] = np.linalg.solve(kernels, rhs[..., None])[..., 0]
         z[:, TRACE] = 1.0 if m == 0 else 0.0
+        # a regular kernel can still over- or underflow into inf or nan
+        if any_singular or not np.isfinite(z).all():
+            exc = SingularSteadyState if m == 0 else SingularKernel
+            for broken, reason in ((singular, "kernel i n delta_p - A0 singular"),
+                                   (~np.isfinite(z).all(axis=-1),
+                                    "non-finite solution")):
+                for row in np.flatnonzero(np.broadcast_to(broken, (rows,))):
+                    failures.setdefault(int(row), exc(
+                        f"{reason} at (m={m}, n={n})"))
         return np.broadcast_to(z, (rows, TRACE + 1)), failures
 
 

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "SystemParams",
+    "ParameterColumns",
     "ProbeGrid",
     "RegimeAdvisory",
     "effective_gamma12",
@@ -58,22 +62,8 @@ class SystemParams:
     advisory: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        if self.theta is not None and self.gamma12_override is not None:
-            raise ValueError("theta and gamma12_override are mutually exclusive")
-        if not (self.gamma1 > 0 and self.gamma2 > 0 and self.kappa > 0):
-            raise ValueError("gamma1, gamma2 and kappa must be positive")
-        if self.g1 < 0 or self.g2 < 0 or self.omega_L_rabi < 0:
-            raise ValueError("g1, g2 and omega_L_rabi must be non-negative")
-        for name in ("gamma1", "gamma2", "g1", "g2", "kappa", "omega21",
-                     "omega_L_rabi", "delta", "delta_c", "theta"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        g12 = effective_gamma12(self)
-        bound = math.sqrt(self.gamma1 * self.gamma2)
-        if abs(g12) > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"|gamma12| = {abs(g12):g} exceeds sqrt(gamma1*gamma2) = {bound:g}")
+        for _, message, args in _broken_rules(self):
+            raise ValueError(message.format(*args))
         # only channels that actually couple to the cavity constrain the
         # kappa >> g >> gamma hierarchy; g = 0 means nothing to eliminate
         f = self.regime_factor
@@ -111,6 +101,107 @@ class SystemParams:
         }
 
 
+# every field that ParameterColumns carries; theta and gamma12_override may be unset
+_COLUMNS = ("gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
+            "delta", "delta_c", "theta", "gamma12_override")
+
+
+def _broken_rules(p):
+    """The validity rules ``p`` breaks, as (broken, message, args), in order.
+
+    ``p`` is a SystemParams, with ``broken`` True, or a ParameterColumns,
+    with ``broken`` a bool per row.  The error text is
+    ``message.format(*args)``, with each of ``args`` indexed by the row for
+    columns.  The rules are checked lazily, so a scalar check stops at the
+    first broken one.
+    """
+    if isinstance(p.gamma1, np.ndarray):
+        not_, isfinite, some = np.logical_not, np.isfinite, np.any
+    else:
+        not_, isfinite, some = operator.not_, math.isfinite, bool
+    if p.theta is not None and p.gamma12_override is not None:
+        yield True, "theta and gamma12_override are mutually exclusive", ()
+    for name in ("gamma1", "gamma2", "kappa"):
+        broken = not_(getattr(p, name) > 0)     # nan is not positive either
+        if some(broken):
+            yield broken, "gamma1, gamma2 and kappa must be positive", ()
+    for name in ("g1", "g2", "omega_L_rabi"):
+        broken = getattr(p, name) < 0
+        if some(broken):
+            yield broken, "g1, g2 and omega_L_rabi must be non-negative", ()
+    for name in _COLUMNS[:-1]:
+        value = getattr(p, name)
+        if value is not None and some(broken := not_(isfinite(value))):
+            yield broken, f"{name} must be finite", ()
+    g12 = abs(effective_gamma12(p))
+    bound = _sqrt(p.gamma1 * p.gamma2)
+    broken = g12 > bound * (1.0 + 1e-12)
+    if some(broken):
+        yield (broken, "|gamma12| = {:g} exceeds sqrt(gamma1*gamma2) = {:g}",
+               (g12, bound))
+
+
+def _sqrt(x):
+    """sqrt of a number (math.sqrt, a float) or of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+@dataclass(frozen=True)
+class ParameterColumns:
+    """The SystemParams fields along a row axis: many parameter sets at once.
+
+    Every field is a 1-D float array with one entry per row; theta and
+    gamma12_override are None where unset on every row.  A parameter-axis
+    sweep evaluates its rows from one ParameterColumns instead of one
+    SystemParams per row.
+    """
+
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    kappa: np.ndarray
+    omega21: np.ndarray
+    omega_L_rabi: np.ndarray
+    delta: np.ndarray
+    delta_c: np.ndarray
+    theta: np.ndarray | None = None
+    gamma12_override: np.ndarray | None = None
+
+    @classmethod
+    def along(cls, params: SystemParams, axis_name: str | None = None,
+              values=()) -> "ParameterColumns":
+        """``params`` on every row, with field ``axis_name`` set to ``values``.
+
+        Without an axis there is one row.  Setting theta clears
+        gamma12_override, as ``SystemParams.replace`` does.
+        """
+        data = params.as_dict()
+        if axis_name is not None:
+            if axis_name == "theta":
+                data["gamma12_override"] = None
+            data[axis_name] = 0.0
+        names = [name for name in _COLUMNS if data[name] is not None]
+        table = np.empty((len(names), 1 if axis_name is None else len(values)))
+        table[:] = [[data[name]] for name in names]
+        if axis_name is not None:
+            table[names.index(axis_name)] = values
+        return cls(**dict(zip(names, table)))
+
+    def errors(self) -> dict:
+        """{row: ValueError} for every row that SystemParams would reject.
+
+        The error of a row is the one constructing its SystemParams raises.
+        """
+        rows, errors = len(self.gamma1), {}
+        with np.errstate(all="ignore"):
+            for broken, message, args in _broken_rules(self):
+                for row in np.flatnonzero(np.broadcast_to(broken, (rows,))):
+                    errors.setdefault(int(row), ValueError(
+                        message.format(*(a[row] for a in args))))
+        return errors
+
+
 @dataclass(frozen=True)
 class ProbeGrid:
     """Strictly increasing grid of probe detunings omega = omega_p - omega_1."""
@@ -141,20 +232,20 @@ class ProbeGrid:
         return iter(self.omega_values)
 
 
-def effective_gamma12(params: SystemParams) -> float:
+def effective_gamma12(params):
     """Cross damping sqrt(gamma1*gamma2)*cos(theta), or the explicit override.
 
     Defaults to exactly zero (perpendicular dipoles): the interference is
-    then purely cavity-engineered.
+    then purely cavity-engineered.  For ParameterColumns, one value per row.
     """
     if params.gamma12_override is not None:
         return params.gamma12_override
     if params.theta is None:
-        return 0.0
-    return math.sqrt(params.gamma1 * params.gamma2) * math.cos(params.theta)
+        return 0.0 * params.gamma1     # 0.0, or a zero on every row
+    return _sqrt(params.gamma1 * params.gamma2) * np.cos(params.theta)
 
 
-def probe_detuning_to_delta_p(omega: float, params: SystemParams) -> float:
+def probe_detuning_to_delta_p(omega, params):
     """Convert omega = omega_p - omega_1 to delta_p = omega_p - omega_L.
 
     omega_L = omega_2 - delta and omega_21 = omega_2 - omega_1, hence

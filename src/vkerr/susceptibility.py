@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import CoefficientSet, coefficient_set
+from .dressed import CoefficientSet, coefficient_rows, coefficient_set
 from .floquet import STATE, HarmonicTable
-from .params import (ProbeGrid, SystemParams, effective_gamma12,
-                     probe_detuning_to_delta_p)
+from .params import (ParameterColumns, ProbeGrid, SystemParams,
+                     effective_gamma12, probe_detuning_to_delta_p)
 
 __all__ = [
     "Susceptibility",
@@ -81,21 +81,22 @@ def chi(params: SystemParams, omega: float,
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     if coeffs is None:
-        coeffs = coefficient_set(params)
+        coeffs, failures = coefficient_rows(ParameterColumns.along(params))
+        if failures:
+            raise failures[0]
     (row,) = _susceptibilities(coeffs, [probe_detuning_to_delta_p(omega, params)])
     if isinstance(row, Exception):
         raise row
     return row
 
 
-def _susceptibilities(coeffs, delta_p: list) -> list:
+def _susceptibilities(coeffs: CoefficientSet, delta_p) -> list:
     """Susceptibility, or the exception that failed it, for every row.
 
-    ``coeffs`` is one CoefficientSet shared by all rows or one per row.
+    ``coeffs`` is shared by all rows or has one array row per row.
     """
     table = HarmonicTable(coeffs, delta_p)
-    sets = [coeffs] if isinstance(coeffs, CoefficientSet) else coeffs
-    s, c = np.array([(cs.basis.s, cs.basis.c) for cs in sets]).T
+    s, c = np.atleast_1d(coeffs.basis.s, coeffs.basis.c)
     parts = []   # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
     for k in (1, 3):
         z, failures = table.solve(k, -1)   # order 3 inherits the failures of order 1
@@ -138,12 +139,6 @@ class SweepResult:
         return sum(1 for r in self.rows if r.error is not None)
 
 
-def _row_params(params: SystemParams, axis_name: str, value: float) -> SystemParams:
-    if axis_name == "theta":
-        return params.replace(theta=value, gamma12_override=None)
-    return params.replace(**{axis_name: value})
-
-
 def sweep(params: SystemParams, values, axis_name: str = "omega",
           omega: float | None = None) -> SweepResult:
     """Evaluate chi across an axis; failed rows are recorded, not fatal.
@@ -151,7 +146,10 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
     ``values`` is a ProbeGrid or any iterable of axis values.  For a
     parameter axis the probe detuning ``omega`` must be given and is held
     fixed.  All rows are solved as one batch; each row's result equals
-    ``chi`` at that row's parameters and probe detuning.
+    ``chi`` at that row's parameters and probe detuning.  A parameter axis
+    is validated and turned into coefficients as ParameterColumns, for all
+    rows at once; a row that breaks a SystemParams rule records the error
+    constructing its SystemParams would raise.
     """
     if axis_name not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}, got {axis_name!r}")
@@ -161,26 +159,29 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
     if axis_name != "omega" and omega is None:
         raise ValueError("parameter sweeps need a fixed omega")
 
-    shared = coefficient_set(params) if axis_name == "omega" else None
-    outcome = [None] * len(values)     # Susceptibility or exception per row
-    live, coeffs, delta_p = [], [], []
-    for i, value in enumerate(values):
-        try:
-            row_params = params if shared else _row_params(params, axis_name, value)
-            row_omega = value if shared else omega
-            if not math.isfinite(row_omega):
-                raise ValueError("omega must be finite")
-            row_coeffs = shared or coefficient_set(row_params)
-        except (ValueError, ArithmeticError) as exc:
-            outcome[i] = exc
-            continue
-        live.append(i)
-        coeffs.append(row_coeffs)
-        delta_p.append(probe_detuning_to_delta_p(row_omega, row_params))
-    if live:
-        for i, row in zip(live, _susceptibilities(shared or coeffs, delta_p)):
-            outcome[i] = row
+    if axis_name == "omega":
+        coeffs, failures, coeff_failures = coefficient_set(params), {}, {}
+        omegas, row_params = np.array(values), params
+    else:
+        row_params = ParameterColumns.along(params, axis_name, values)
+        failures = row_params.errors()
+        coeffs, coeff_failures = coefficient_rows(row_params)
+        omegas = np.full(len(values), omega)
+    with np.errstate(all="ignore"):     # an overflowing row fails in the solve
+        delta_p = probe_detuning_to_delta_p(omegas, row_params)
+    # a row fails at its first problem: parameters, omega, then coefficients
+    for row in np.flatnonzero(~np.isfinite(omegas)):
+        failures.setdefault(int(row), ValueError("omega must be finite"))
+    for row, exc in coeff_failures.items():
+        failures.setdefault(row, exc)
 
+    outcome = [failures.get(i) for i in range(len(values))]
+    live = [i for i, row in enumerate(outcome) if row is None]
+    if live:
+        if failures and axis_name != "omega":
+            coeffs = coeffs.take(live)
+        for i, row in zip(live, _susceptibilities(coeffs, delta_p[live])):
+            outcome[i] = row
     rows = tuple(
         SweepRow(axis_value=value, error=f"{type(row).__name__}: {row}")
         if isinstance(row, Exception) else SweepRow(axis_value=value, result=row)
@@ -335,21 +336,40 @@ def result_metadata(result: SweepResult, extra: dict | None = None) -> dict:
     return meta
 
 
+def _json_row(keys) -> str:
+    """Format string of one row object, as json.dump lays it out at depth 2."""
+    return "    {{\n" + ",\n".join(f'      "{k}": {{}}' for k in keys) + "\n    }}"
+
+
+_JSON_ROW = _json_row(CSV_COLUMNS)
+_JSON_FAILED_ROW = _json_row(("axis", "error"))
+
+
+def _json(value) -> str:
+    """``value`` as json.dumps writes it, without the encoder for plain floats."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def write_json(result: SweepResult, path, extra_metadata: dict | None = None) -> None:
+    """Metadata plus one object per row, in the bytes of json.dump(indent=2).
+
+    Non-finite ratios are written as null.  The metadata goes through
+    json.dumps; every row is filled into one format string.
+    """
     rows = []
     for row in result.rows:
-        if row.result is None:
-            rows.append({"axis": row.axis_value, "error": row.error})
-        else:
-            r = row.result
-            rows.append({
-                "axis": row.axis_value,
-                "re_chi1": r.re_chi1, "im_chi1": r.im_chi1,
-                "re_chi3": r.re_chi3, "im_chi3": r.im_chi3,
-                "ratio_31": r.ratio_31 if math.isfinite(r.ratio_31) else None,
-                "ratio_33": r.ratio_33 if math.isfinite(r.ratio_33) else None,
-            })
-    payload = {"metadata": result_metadata(result, extra_metadata), "rows": rows}
+        r = row.result
+        if r is None:
+            rows.append(_JSON_FAILED_ROW.format(_json(row.axis_value),
+                                                _json(row.error)))
+            continue
+        ratios = [x if math.isfinite(x) else None for x in (r.ratio_31, r.ratio_33)]
+        rows.append(_JSON_ROW.format(*map(_json, (
+            row.axis_value, r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3, *ratios))))
+    meta = json.dumps(result_metadata(result, extra_metadata), indent=2)
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        f.write('{\n  "metadata": ' + meta.replace("\n", "\n  ")
+                + ',\n  "rows": ' + body + "\n}\n")

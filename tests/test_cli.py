@@ -113,6 +113,18 @@ class TestErrors:
         payload = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert payload["error"]["type"] == "ValueError"
 
+    def test_non_finite_point_is_an_error(self, tmp_path, capsys):
+        # decay rates of 1e-300 overflow the solution at omega = 200: a typed
+        # error and a nonzero exit, not "NaN" in the payload
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text('{"gamma1": 1e-300, "gamma2": 1e-300}')
+        rc = main(["point", "--config", str(cfg), "--omega", "200"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        payload = json.loads(captured.err.splitlines()[-1])
+        assert payload["error"]["type"] in ("SingularKernel",
+                                            "SingularSteadyState")
+
     def test_missing_grid(self, config_file, capsys):
         rc = main(["sweep", "--config", config_file])
         assert rc == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkerr import (DegenerateDressing, SystemParams, cavity_response,
-                   coefficient_set, dress, effective_gamma12,
-                   interference_terms, rate_set)
+from vkerr import (DegenerateDressing, ParameterColumns, SystemParams,
+                   cavity_response, coefficient_rows, coefficient_set, dress,
+                   effective_gamma12, interference_terms, rate_set)
 from vkerr.params import RegimeAdvisory
 
 
@@ -31,6 +32,16 @@ def random_params(rng):
         delta_c=rng.uniform(-500.0, 500.0),
         gamma12_override=beta * math.sqrt(gamma1 * gamma2),
     )
+
+
+def columns_of(draws):
+    """ParameterColumns with one row per SystemParams in ``draws``.
+
+    Every draw sets gamma12_override (as random_params does) and no theta.
+    """
+    return ParameterColumns(**{
+        f.name: np.array([getattr(p, f.name) for p in draws])
+        for f in dataclasses.fields(ParameterColumns) if f.name != "theta"})
 
 
 class TestDress:
@@ -237,3 +248,21 @@ def test_coefficient_set_assembles(delta, rabi, dc):
     cs = coefficient_set(p)
     assert cs.basis.c ** 2 + cs.basis.s ** 2 == pytest.approx(1.0, abs=1e-12)
     assert cs.gamma12 == 0.0
+
+
+def test_rows_match_scalar_formulas():
+    # coefficient_rows runs the formulas on arrays; the same formulas in
+    # Python arithmetic on each parameter set are the reference.  Complex
+    # division rounds differently in NumPy, so agreement is to a few ulps.
+    rng = np.random.default_rng(31)
+    draws = [random_params(rng) for _ in range(40)]
+    rows, failures = coefficient_rows(columns_of(draws))
+    assert not failures
+    for k, p in enumerate(draws):
+        b = dress(p)
+        r = cavity_response(p, b)
+        reference = (b, r, interference_terms(p, b, r), rate_set(p, b, r))
+        for block, ref in zip(rows.blocks, reference):
+            for name, value in vars(ref).items():
+                got = getattr(block, name)[k]
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), name

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vkerr import (HarmonicTable, SingularKernel, chi, coefficient_set,
-                   zeroth_order_steady_state)
+from vkerr import (HarmonicTable, ParameterColumns, SingularKernel, chi,
+                   coefficient_rows, coefficient_set, zeroth_order_steady_state)
 from vkerr.floquet import (CONJUGATE_ELEMENT, ELEMENTS, POPULATIONS,
                            reduced_operators)
 from vkerr.oracle import _reduced_rhs
 
-from test_dressed import quiet_params, random_params
+from test_dressed import columns_of, quiet_params, random_params
 
 # published steady-state reference for the sideband operating point
 REF_ANALYTIC = {"rho_11": 0.2072, "rho_pp": 0.2409, "rho_mm": 0.5520,
@@ -134,11 +134,17 @@ class TestBatchedSolve:
         # an undamped rho_{1+} (Gamma_plus = 0, no cavity) at delta_p equal
         # to its bare rotation makes the (1, -1) kernel exactly singular;
         # only that row of the stack fails, its neighbours are untouched
-        cs = coefficient_set(quiet_params(g1=0.0, g2=0.0, delta=0.0))
+        params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
+        cs = coefficient_set(params)
         undamped = dataclasses.replace(
             cs, rates=dataclasses.replace(cs.rates, Gamma_plus=0.0))
+        rows, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 3))
+        gamma_plus = rows.rates.Gamma_plus.copy()
+        gamma_plus[1] = 0.0
+        stack = dataclasses.replace(
+            rows, rates=dataclasses.replace(rows.rates, Gamma_plus=gamma_plus))
         resonant = cs.basis.lambda_1 - cs.basis.lambda_plus
-        table = HarmonicTable([cs, undamped, cs], [0.25, resonant, 0.35])
+        table = HarmonicTable(stack, [0.25, resonant, 0.35])
         z, failures = table.solve(3, -1)
         assert set(failures) == {1}
         assert isinstance(failures[1], SingularKernel)
@@ -151,20 +157,23 @@ class TestBatchedSolve:
 
     def test_operators_match_reduced_rhs(self):
         # the operators are transcribed independently of oracle._reduced_rhs;
-        # both must give the same time derivative at any (t, y)
+        # both must give the same time derivative at any (t, y), here with
+        # every draw one row of a single array-valued coefficient set
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            cs = coefficient_set(random_params(rng))
+        draws = [random_params(rng) for _ in range(50)]
+        rows, failures = coefficient_rows(columns_of(draws))
+        assert not failures
+        stack = reduced_operators(rows)
+        for params, (a0, ap, am) in zip(draws, stack):
             dp = rng.uniform(-3.0, 3.0)
             wp = rng.uniform(0.0, 0.5)
             t = rng.uniform(0.0, 50.0)
             y = rng.normal(size=16)
             z = y[0::2] + 1j * y[1::2]
             zt = np.append(z, 1.0)     # the unit trace closes rho_{++}
-            a0, ap, am = reduced_operators([cs])[0]
             ours = (a0 @ zt + wp * (np.exp(1j * dp * t) * (ap @ zt)
                                     + np.exp(-1j * dp * t) * (am @ zt)))
-            ref = _reduced_rhs(cs, dp, wp)(t, y)
+            ref = _reduced_rhs(coefficient_set(params), dp, wp)(t, y)
             ref = ref[0::2] + 1j * ref[1::2]
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(ours - ref).max() <= 1e-12 * scale

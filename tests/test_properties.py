@@ -1,10 +1,16 @@
 """Randomized invariant suites over the valid parameter space."""
 
+import math
+
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vkerr import HarmonicTable, chi, coefficient_set
+from vkerr import (DegenerateDressing, HarmonicTable, SingularKernel,
+                   SingularSteadyState, chi, coefficient_set, sweep)
+from vkerr.susceptibility import SWEEPABLE
 
-from test_dressed import random_params
+from test_dressed import quiet_params, random_params
 from test_floquet import assert_hermitian_table, assert_trace_closure
 
 
@@ -44,3 +50,46 @@ def test_chi_continuous_in_probe_detuning():
         near = chi(params, w0 + 1e-9)
         assert abs(near.chi1 - base.chi1) < 1e-5 * (1.0 + abs(base.chi1))
         assert abs(near.chi3 - base.chi3) < 1e-4 * (1.0 + abs(base.chi3))
+
+
+# magnitudes across the whole floating-point range, either sign or zero
+magnitude = st.floats(min_value=1e-300, max_value=1e300)
+rate = st.one_of(st.just(0.0), magnitude)
+signed = st.one_of(rate, magnitude.map(lambda x: -x))
+TYPED = (DegenerateDressing, OverflowError, SingularKernel, SingularSteadyState)
+
+
+def finite_result(r) -> bool:
+    return all(math.isfinite(v) for v in (r.re_chi1, r.im_chi1,
+                                          r.re_chi3, r.im_chi3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields=st.fixed_dictionaries({
+           "gamma1": magnitude, "gamma2": magnitude, "kappa": magnitude,
+           "g1": rate, "g2": rate, "omega21": signed, "omega_L_rabi": rate,
+           "delta": signed, "delta_c": signed,
+           "theta": st.one_of(st.none(), st.floats(0.0, math.pi))}),
+       omega=signed, axis=st.sampled_from(SWEEPABLE[1:]),
+       values=st.lists(signed, min_size=3, max_size=3))
+def test_pipeline_finite_or_typed(fields, omega, axis, values):
+    # for any valid parameter set, chi and a parameter-axis sweep return
+    # finite values or a typed error, never nan or inf (numpy warnings fail
+    # the suite, so none may escape either)
+    try:
+        params = quiet_params(**fields)
+    except ValueError:
+        assume(False)
+    try:
+        point = chi(params, omega)
+    except TYPED:
+        pass
+    else:
+        assert finite_result(point)
+    result = sweep(params, values, axis_name=axis, omega=omega)
+    for row in result.rows:
+        if row.error is None:
+            assert finite_result(row.result)
+        else:
+            kind = row.error.split(":")[0]
+            assert kind in {"ValueError"} | {e.__name__ for e in TYPED}, row.error

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from vkerr import (ProbeGrid, SweepResult, SweepRow, Susceptibility, chi,
-                   find_features, sweep, write_csv, write_json)
+from vkerr import (DegenerateDressing, ProbeGrid, SingularKernel,
+                   SingularSteadyState, SweepResult, SweepRow, Susceptibility,
+                   chi, coefficient_set, find_features, sweep, write_csv,
+                   write_json)
+from vkerr.susceptibility import result_metadata
 
 from test_dressed import quiet_params
 
@@ -64,6 +67,21 @@ class TestChi:
         assert r.im_chi3 == pytest.approx(3.8031379912582155, rel=1e-10)
 
 
+# four values per parameter axis, all valid on the sideband operating point
+PARAMETER_AXES = {
+    "g1": [0.0, 2.5, 5.0, 7.5],
+    "g2": [0.0, 7.5, 15.0, 20.0],
+    "kappa": [50.0, 100.0, 150.0, 200.0],
+    "gamma1": [0.001, 0.05, 0.1, 0.2],
+    "gamma2": [0.001, 0.05, 0.1, 0.2],
+    "omega21": [190.0, 200.0, 210.0, 250.0],
+    "omega_L_rabi": [50.0, 100.0, 200.0, 300.0],
+    "delta": [-20.0, 0.0, 5.0, 30.0],
+    "delta_c": [0.0, 50.0, 200.0, 400.0],
+    "theta": [0.0, 0.7, 1.5, 3.0],
+}
+
+
 class TestSweep:
     def test_decoupled_parameter_rows_identical(self):
         p = quiet_params(g1=0.0, g2=0.0)
@@ -104,12 +122,66 @@ class TestSweep:
         for row in result.rows:
             assert row.result == chi(sideband_params, row.axis_value)
 
-    def test_parameter_sweep_matches_pointwise(self, sideband_params):
-        values = [0.0, 2.5, 5.0, 7.5]
-        result = sweep(sideband_params, values, axis_name="g1", omega=200.122)
+    @pytest.mark.parametrize("axis_name", list(PARAMETER_AXES))
+    def test_parameter_sweep_matches_pointwise(self, sideband_params,
+                                               axis_name):
+        values = PARAMETER_AXES[axis_name]
+        # theta runs on a base with an explicit cross damping, which the
+        # sweep must clear on every row as SystemParams.replace does
+        base = (sideband_params.replace(gamma12_override=0.05)
+                if axis_name == "theta" else sideband_params)
+        result = sweep(base, values, axis_name=axis_name, omega=200.122)
+        assert result.n_failed == 0
         for row in result.rows:
-            row_params = sideband_params.replace(g1=row.axis_value)
+            row_params = base.replace(**{axis_name: row.axis_value})
             assert row.result == chi(row_params, 200.122)
+
+    @pytest.mark.parametrize("axis_name, bad, message", [
+        ("kappa", -50.0, "ValueError: gamma1, gamma2 and kappa must be positive"),
+        ("g2", -1.0, "ValueError: g1, g2 and omega_L_rabi must be non-negative"),
+        ("gamma1", 0.01, "ValueError: |gamma12| = 0.05 exceeds "
+                         "sqrt(gamma1*gamma2) = 0.0316228"),
+        ("omega_L_rabi", 0.0, "DegenerateDressing: omega_L_rabi = 0 and delta = 0"),
+    ], ids=["negative-kappa", "negative-g2", "gamma12-bound", "degenerate"])
+    def test_invalid_row_error_matches_pointwise(self, sideband_params,
+                                                 axis_name, bad, message):
+        # a failed row carries the error that evaluating it alone raises:
+        # constructing its SystemParams, or dressing it
+        base = sideband_params.replace(gamma12_override=0.05)
+        values = [getattr(base, axis_name) * 0.5, bad, getattr(base, axis_name)]
+        result = sweep(base, values, axis_name=axis_name, omega=200.25)
+        assert [r.error is None for r in result.rows] == [True, False, True]
+        assert result.rows[1].error == message
+        with pytest.raises((ValueError, DegenerateDressing)) as info:
+            coefficient_set(base.replace(**{axis_name: bad}))
+        assert message == f"{type(info.value).__name__}: {info.value}"
+        assert result.rows[2].result == chi(base, 200.25)
+
+    def test_overflow_is_a_typed_row_error(self, sideband_params):
+        # the coefficients of a huge drive leave the floating-point range:
+        # OverflowError for the point, and on its own row of a sweep
+        huge = sideband_params.replace(omega_L_rabi=1e200)
+        with pytest.raises(OverflowError):
+            chi(huge, 200.25)
+        result = sweep(sideband_params, [200.0, 1e200, 300.0],
+                       axis_name="omega_L_rabi", omega=200.25)
+        assert [r.error is None for r in result.rows] == [True, False, True]
+        assert result.rows[1].error.startswith("OverflowError: ")
+
+    def test_non_finite_solution_is_a_typed_row_error(self):
+        # decay rates of 1e-300 leave every kernel regular but overflow the
+        # solution at omega = 200: a typed error, never a nan in the output
+        tiny = quiet_params(gamma1=1e-300, gamma2=1e-300)
+        with pytest.raises((SingularKernel, SingularSteadyState)):
+            chi(tiny, 200.0)
+        result = sweep(tiny, [199.5, 200.0, 200.5])
+        assert result.n_failed == 1
+        assert result.rows[1].error.startswith(("SingularKernel: ",
+                                                "SingularSteadyState: "))
+        for row in (result.rows[0], result.rows[2]):
+            assert all(math.isfinite(v) for v in (
+                row.result.re_chi1, row.result.im_chi1,
+                row.result.re_chi3, row.result.im_chi3))
 
     def test_parameter_sweep_requires_omega(self, sideband_params):
         with pytest.raises(ValueError):
@@ -128,6 +200,24 @@ class TestSweep:
             a, b = chi(detuned, w), chi(free, w)
             assert abs(a.chi1 - b.chi1) < 1e-6
             assert abs(a.chi3 - b.chi3) < 1e-6
+
+
+def json_payload(result, extra=None):
+    """The sweep JSON as a payload for json.dump: the writer's reference."""
+    rows = []
+    for row in result.rows:
+        if row.result is None:
+            rows.append({"axis": row.axis_value, "error": row.error})
+        else:
+            r = row.result
+            rows.append({
+                "axis": row.axis_value,
+                "re_chi1": r.re_chi1, "im_chi1": r.im_chi1,
+                "re_chi3": r.re_chi3, "im_chi3": r.im_chi3,
+                "ratio_31": r.ratio_31 if math.isfinite(r.ratio_31) else None,
+                "ratio_33": r.ratio_33 if math.isfinite(r.ratio_33) else None,
+            })
+    return {"metadata": result_metadata(result, extra), "rows": rows}
 
 
 def synthetic_result(xs, im3, re3=None, im1=None):
@@ -219,6 +309,32 @@ class TestWriters:
         write_json(result, ja)
         write_json(result, jb)
         assert ja.read_bytes() == jb.read_bytes()
+
+    def test_json_bytes_equal_json_dump(self, tmp_path, sideband_params):
+        # the direct row formatter writes what json.dump(indent=2) writes
+        swept = sweep(sideband_params, [50.0, -1.0, 150.0], axis_name="kappa",
+                      omega=200.25)
+        synthetic = SweepResult(axis_name="g1", params=sideband_params,
+                                fixed_omega=200.25, rows=(
+            # Im chi1 = 0 leaves ratio_31 undefined: null
+            SweepRow(axis_value=-0.0, result=Susceptibility(
+                -0.0, 0.0, 1e-300, -2.5)),
+            SweepRow(axis_value=0.0, result=Susceptibility(0.1, 0.0, 0.0, 0.0)),
+            SweepRow(axis_value=math.nan,
+                     error='ValueError: "quoted", non-ASCII \u00e9\u03ba\n'),
+            SweepRow(axis_value=1e300, result=Susceptibility(
+                0.1, 0.2, -4.790960740961802, 5e-324)),
+        ))
+        empty = SweepResult(axis_name="omega", rows=(), params=sideband_params)
+        for result, extra in ((swept, None), (synthetic, {"preset": "fig4b",
+                                                          "note": "\u00e9"}),
+                              (empty, {})):
+            out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+            write_json(result, out, extra_metadata=extra)
+            with open(ref, "w") as f:
+                json.dump(json_payload(result, extra), f, indent=2)
+                f.write("\n")
+            assert out.read_bytes() == ref.read_bytes()
 
     def test_json_metadata(self, tmp_path, sideband_params):
         result = sweep(sideband_params, ProbeGrid.from_range(200.0, 200.1, 0.1))
