@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .dressed import coefficient_set
 from .floquet import zeroth_order_steady_state
 from .oracle import FockTruncation, converged_steady_state, lindblad_steady_state
-from .params import ProbeGrid, SystemParams, effective_gamma12, load_config
-from .susceptibility import (chi, find_features, result_metadata, sweep,
-                             write_csv, write_json)
+from .params import ProbeGrid, SystemParams, load_config
+from .susceptibility import (chi, find_features, metadata, result_metadata,
+                             sweep, write_csv, write_json)
 
 # presets pin the published parameter sets; sweep grids are our documented
 # defaults (captions fix parameters, not grids) and accept --start/--stop/--step
@@ -47,22 +48,24 @@ PRESETS = {
 }
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat JSON file with SystemParams fields")
+def _add_common(p, config=True):
+    """--config (unless a preset fixes the parameters), --gamma12, --out."""
+    if config:
+        p.add_argument("--config", help="flat JSON file with SystemParams fields")
     p.add_argument("--gamma12", type=float, default=None,
                    help="override the effective cross damping")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
-def _add_grid(p):
-    p.add_argument("--axis", default="omega",
-                   help="sweep axis: omega or a parameter name")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--omega", type=float,
-                   help="fixed probe detuning for parameter sweeps")
+def _add_grid(p, axis=True):
+    """--start/--stop/--step, and --axis/--omega unless a preset fixes them."""
+    if axis:
+        p.add_argument("--axis", default="omega",
+                       help="sweep axis: omega or a parameter name")
+        p.add_argument("--omega", type=float,
+                       help="fixed probe detuning for parameter sweeps")
+    for name in ("start", "stop", "step"):
+        p.add_argument(f"--{name}", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep omega or one parameter")
     _add_common(p)
     _add_grid(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("features", help="sweep, then report zero crossings, "
                                         "extrema and transparency points")
@@ -95,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure-preset", help="run a published parameter set")
     p.add_argument("preset", choices=sorted(PRESETS))
-    _add_common(p)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--step", type=float)
+    _add_common(p, config=False)
+    _add_grid(p, axis=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dump-coefficients",
                        help="debug: all dressed-frame coefficients as JSON")
@@ -106,14 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_params(args) -> SystemParams:
-    params = load_config(args.config) if args.config else SystemParams()
-    if getattr(args, "gamma12", None) is not None:
+def _load_params(args, params=None) -> SystemParams:
+    """``params``, else --config or the defaults; then --gamma12 on top."""
+    if params is None:
+        params = load_config(args.config) if args.config else SystemParams()
+    if args.gamma12 is not None:
         params = params.replace(gamma12_override=args.gamma12)
     return params
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(payload: dict, out_path) -> None:
+    text = json.dumps(payload, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -121,26 +127,25 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _complexes(d):
-    return {k: [v.real, v.imag] if isinstance(v, complex) else v
-            for k, v in d.items()}
+def _number(value):
+    """A JSON number, a complex one as [re, im]."""
+    return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _run_point(args) -> int:
+def _fields(block) -> dict:
+    """The fields of a dataclass instance, in declared order, as JSON numbers."""
+    return {name: _number(value) for name, value in vars(block).items()}
+
+
+def _run_point(args) -> None:
     params = _load_params(args)
     result = chi(params, args.omega)
-    payload = {
-        "metadata": {"tool_version": __version__, "params": params.as_dict(),
-                     "gamma12": effective_gamma12(params)},
-        "omega": args.omega,
-        "re_chi1": result.re_chi1, "im_chi1": result.im_chi1,
-        "re_chi3": result.re_chi3, "im_chi3": result.im_chi3,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    _emit({"metadata": metadata(params), "omega": args.omega, **vars(result)},
+          args.out)
 
 
-def _sweep_from_args(args, params):
+def _sweep_from_args(args, params=None):
+    params = _load_params(args, params)
     if args.step is None:
         raise ValueError("need --step")
     if args.start is None or args.stop is None:
@@ -149,36 +154,24 @@ def _sweep_from_args(args, params):
     return sweep(params, grid, axis_name=args.axis, omega=args.omega)
 
 
-def _run_sweep(args) -> int:
-    params = _load_params(args)
+def _run_sweep(args, params=None, extra_metadata=None):
     result = _sweep_from_args(args, params)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         write_csv(result, args.out if args.out is not None else sys.stdout)
     else:
         if args.out is None:
             raise ValueError("json sweep output needs --out")
-        write_json(result, args.out)
-    return 0
+        write_json(result, args.out, extra_metadata)
+    return result
 
 
-def _run_features(args) -> int:
-    params = _load_params(args)
-    result = _sweep_from_args(args, params)
+def _run_features(args) -> None:
+    result = _sweep_from_args(args)
     report = find_features(result, transparency_fraction=args.transparency_frac)
-    payload = {
-        "metadata": result_metadata(result),
-        "im_chi3_zeros": list(report.im_chi3_zeros),
-        "re_chi3_extrema": [list(e) for e in report.re_chi3_extrema],
-        "transparency_points": list(report.transparency_points),
-        "transparency_fraction": report.transparency_fraction,
-        "re_chi3_peak": report.re_chi3_peak,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    _emit({"metadata": result_metadata(result), **vars(report)}, args.out)
 
 
-def _run_oracle_compare(args) -> int:
+def _run_oracle_compare(args) -> None:
     params = _load_params(args)
     analytic = zeroth_order_steady_state(coefficient_set(params))
     if args.fock_cutoff is not None:
@@ -187,77 +180,41 @@ def _run_oracle_compare(args) -> int:
     else:
         numeric, trunc = converged_steady_state(params)
     elements = {}
-    deltas = []
-    for name in ("rho_11", "rho_mm", "rho_pp", "rho_m1"):
-        a, b = getattr(analytic, name), getattr(numeric, name)
+    for name, a in vars(analytic).items():
+        b = getattr(numeric, name)
         delta = abs(a - b)
-        deltas.append(delta)
-        elements[name] = {
-            "analytic": [a.real, a.imag] if isinstance(a, complex) else a,
-            "oracle": [b.real, b.imag] if isinstance(b, complex) else b,
-            "abs_delta": delta,
-            "rel_delta": delta / abs(b) if abs(b) > 0 else None,
-        }
-    payload = {
-        "metadata": {"tool_version": __version__, "params": params.as_dict(),
-                     "gamma12": effective_gamma12(params),
-                     "fock_cutoff": trunc.n_max},
-        "elements": elements,
-        "max_abs_delta": max(deltas),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+        elements[name] = {"analytic": _number(a), "oracle": _number(b),
+                          "abs_delta": delta,
+                          "rel_delta": delta / abs(b) if abs(b) > 0 else None}
+    _emit({"metadata": metadata(params, fock_cutoff=trunc.n_max),
+           "elements": elements,
+           "max_abs_delta": max(e["abs_delta"] for e in elements.values())},
+          args.out)
 
 
-def _run_figure_preset(args) -> int:
+def _run_figure_preset(args) -> None:
+    """The sweep runner, with the preset's parameters, axis and grid."""
     preset = PRESETS[args.preset]
-    params = SystemParams(**preset["params"])
-    if getattr(args, "gamma12", None) is not None:
-        params = params.replace(gamma12_override=args.gamma12)
-    start, stop, step = preset["grid"]
-    grid = ProbeGrid.from_range(
-        args.start if args.start is not None else start,
-        args.stop if args.stop is not None else stop,
-        args.step if args.step is not None else step)
-    result = sweep(params, grid, axis_name=preset["axis"],
-                   omega=preset.get("omega"))
-    fmt = args.format or "csv"
-    out = args.out or f"{args.preset}.{fmt}"
-    if fmt == "csv":
-        write_csv(result, out)
-    else:
-        write_json(result, out, extra_metadata={"preset": args.preset})
+    for name, default in zip(("start", "stop", "step"), preset["grid"]):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    args.axis, args.omega = preset["axis"], preset.get("omega")
+    args.out = args.out or f"{args.preset}.{args.format}"
+    result = _run_sweep(args, SystemParams(**preset["params"]),
+                        {"preset": args.preset})
     sys.stderr.write(f"{args.preset}: {len(result.rows)} rows "
-                     f"({result.n_failed} failed) -> {out}\n")
-    return 0
+                     f"({result.n_failed} failed) -> {args.out}\n")
 
 
-def _run_dump_coefficients(args) -> int:
+def _run_dump_coefficients(args) -> None:
     params = _load_params(args)
-    cs = coefficient_set(params)
-    b, r, x, resp = cs.basis, cs.rates, cs.interference, cs.response
-    payload = {
-        "metadata": {"tool_version": __version__, "params": params.as_dict()},
-        "gamma12": cs.gamma12,
-        "basis": {"c": b.c, "s": b.s, "omega_R": b.omega_R,
-                  "lambda_plus": b.lambda_plus, "lambda_minus": b.lambda_minus,
-                  "lambda_1": b.lambda_1},
-        "cavity_response": _complexes({"B0": resp.B0, "B1": resp.B1,
-                                       "B2": resp.B2, "B3": resp.B3,
-                                       "B4": resp.B4}),
-        "interference": _complexes({"x1": x.x1, "x2": x.x2,
-                                    "x3": x.x3, "x4": x.x4}),
-        "rates": _complexes({
-            "R_plus_minus": r.R_plus_minus, "R_minus_plus": r.R_minus_plus,
-            "R_1_minus": r.R_1_minus, "R_1_plus": r.R_1_plus,
-            "Gamma0": r.Gamma0, "Gamma_minus": r.Gamma_minus,
-            "Gamma_plus": r.Gamma_plus, "Gamma1": r.Gamma1,
-            "Gamma2": r.Gamma2, "Gamma3": r.Gamma3,
-            "gamma0_pair": r.gamma0_pair,
-        }),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    coeffs = coefficient_set(params)
+    meta = metadata(params)
+    payload = {"metadata": meta, "gamma12": meta.pop("gamma12")}
+    for block in fields(coeffs)[2:]:        # after params and gamma12
+        key = "cavity_response" if block.name == "response" else block.name
+        payload[key] = _fields(getattr(coeffs, block.name))
+    _emit(payload, args.out)
 
 
 _RUNNERS = {
@@ -273,11 +230,12 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.mode](args)
+        _RUNNERS[args.mode](args)
     except Exception as exc:   # machine-readable failure on any module error
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error) + "\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -163,14 +163,8 @@ def _dress(params, omega_R) -> DressedBasis:
     )
 
 
-def cavity_response(params, basis: DressedBasis,
-                    near_degenerate: bool = False) -> CavityResponse:
-    """Cavity filters B0..B4.
-
-    ``near_degenerate`` replaces B4 -> B0 and B3 -> B1, the approximation
-    valid when the probe level is degenerate with |->; exact denominators
-    are the default.
-    """
+def cavity_response(params, basis: DressedBasis) -> CavityResponse:
+    """Cavity filters B0..B4, with exact denominators."""
     kappa = params.kappa
     dc = params.delta_c
     c2k = basis.c ** 2 * kappa
@@ -178,12 +172,9 @@ def cavity_response(params, basis: DressedBasis,
     B0 = c2k / (kappa + 1j * dc)
     B1 = s2k / (kappa + 1j * (dc + basis.omega_R))
     B2 = c2k / (kappa + 1j * (dc - basis.omega_R))
-    if near_degenerate:
-        B3, B4 = B1, B0
-    else:
-        dc21 = dc + params.omega21
-        B3 = s2k / (kappa + 1j * (dc21 - basis.lambda_minus))
-        B4 = c2k / (kappa + 1j * (dc21 - basis.lambda_plus))
+    dc21 = dc + params.omega21
+    B3 = s2k / (kappa + 1j * (dc21 - basis.lambda_minus))
+    B4 = c2k / (kappa + 1j * (dc21 - basis.lambda_plus))
     return CavityResponse(B0=B0, B1=B1, B2=B2, B3=B3, B4=B4)
 
 
@@ -243,8 +234,7 @@ def rate_set(params, basis: DressedBasis, resp: CavityResponse) -> RateSet:
     )
 
 
-def coefficient_rows(params: ParameterColumns,
-                     near_degenerate: bool = False) -> tuple:
+def coefficient_rows(params: ParameterColumns) -> tuple:
     """(set, failures): every coefficient block, one array row per parameter row.
 
     ``failures`` maps a row without coefficients to its exception:
@@ -255,7 +245,7 @@ def coefficient_rows(params: ParameterColumns,
     with np.errstate(all="ignore"):
         omega_R = _rabi_frequency(params)
         basis = _dress(params, omega_R)
-        resp = cavity_response(params, basis, near_degenerate=near_degenerate)
+        resp = cavity_response(params, basis)
         coeffs = CoefficientSet(
             params=params,
             gamma12=effective_gamma12(params),
@@ -275,15 +265,13 @@ def coefficient_rows(params: ParameterColumns,
     return coeffs, failures
 
 
-def coefficient_set(params: SystemParams,
-                    near_degenerate: bool = False) -> CoefficientSet:
+def coefficient_set(params: SystemParams) -> CoefficientSet:
     """Every coefficient block for one parameter set, as Python numbers.
 
     Computed as a one-row ``coefficient_rows``, so the numbers are those of
     the same row in any batch.
     """
-    coeffs, failures = coefficient_rows(ParameterColumns.along(params),
-                                        near_degenerate=near_degenerate)
+    coeffs, failures = coefficient_rows(ParameterColumns.along(params))
     if failures:
         raise failures[0]
     return CoefficientSet(params, coeffs.gamma12.item(),

@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,19 +91,13 @@ class SystemParams:
             return SystemParams(**data)
 
     def as_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1, "gamma2": self.gamma2,
-            "g1": self.g1, "g2": self.g2, "kappa": self.kappa,
-            "omega21": self.omega21, "omega_L_rabi": self.omega_L_rabi,
-            "delta": self.delta, "delta_c": self.delta_c,
-            "theta": self.theta, "gamma12_override": self.gamma12_override,
-            "regime_factor": self.regime_factor,
-        }
+        return {name: getattr(self, name) for name in _CONFIG_KEYS}
 
 
-# every field that ParameterColumns carries; theta and gamma12_override may be unset
-_COLUMNS = ("gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
-            "delta", "delta_c", "theta", "gamma12_override")
+# the constructor's keys, in declared order: what as_dict writes and a
+# config file may set; those that default to None may be null in a config
+_CONFIG_KEYS = tuple(f.name for f in fields(SystemParams) if f.init)
+_OPTIONAL_KEYS = {f.name for f in fields(SystemParams) if f.default is None}
 
 
 def _broken_rules(p):
@@ -202,6 +196,10 @@ class ParameterColumns:
         return errors
 
 
+# every field that ParameterColumns carries; theta and gamma12_override may be unset
+_COLUMNS = tuple(f.name for f in fields(ParameterColumns))
+
+
 @dataclass(frozen=True)
 class ProbeGrid:
     """Strictly increasing grid of probe detunings omega = omega_p - omega_1."""
@@ -220,9 +218,14 @@ class ProbeGrid:
 
     @classmethod
     def from_range(cls, start: float, stop: float, step: float) -> "ProbeGrid":
+        """start, start + step, ... up to stop; never past it beyond round-off.
+
+        A stop that the steps reach only up to round-off is the last point,
+        so a range that is a multiple of the step keeps both ends.
+        """
         if step <= 0:
             raise ValueError("step must be positive")
-        n = int(round((stop - start) / step))
+        n = math.floor((stop - start) / step + 1e-9)
         return cls(start + step * i for i in range(n + 1))
 
     def __len__(self):
@@ -254,14 +257,12 @@ def probe_detuning_to_delta_p(omega, params):
     return omega - params.omega21 + params.delta
 
 
-# keys accepted in a config file, all plain numbers (gamma12_override may be null)
-_CONFIG_KEYS = ("gamma1", "gamma2", "g1", "g2", "kappa", "omega21",
-                "omega_L_rabi", "delta", "delta_c", "theta",
-                "gamma12_override", "regime_factor")
-
-
 def load_config(path) -> SystemParams:
-    """Load a flat JSON config whose keys mirror the SystemParams fields."""
+    """Load a flat JSON config whose keys mirror the SystemParams fields.
+
+    Every value is a number; the optional fields (theta, gamma12_override)
+    may also be null, which leaves them unset.
+    """
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
@@ -269,12 +270,12 @@ def load_config(path) -> SystemParams:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "theta" in raw and raw.get("gamma12_override") is not None:
-        raise ValueError(f"{path}: theta and gamma12_override are mutually exclusive")
-    kwargs = {}
     for key, value in raw.items():
-        if key == "gamma12_override":
-            kwargs[key] = None if value is None else float(value)
-        else:
-            kwargs[key] = float(value)
-    return SystemParams(**kwargs)
+        # bool is a subclass of int, so compare the exact JSON type
+        number = type(value) in (int, float)
+        if not (number or value is None and key in _OPTIONAL_KEYS):
+            raise ValueError(f"{path}: {key} must be a number, got {json.dumps(value)}")
+    if raw.get("theta") is not None and raw.get("gamma12_override") is not None:
+        raise ValueError(f"{path}: theta and gamma12_override are mutually exclusive")
+    return SystemParams(**{key: None if value is None else float(value)
+                           for key, value in raw.items()})

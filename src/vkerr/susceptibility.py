@@ -13,7 +13,6 @@ the (Kerr) refraction.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -295,45 +294,40 @@ def _fmt(value: float) -> str:
     return f"{value:.8e}"
 
 
+_NO_VALUES = (None,) * (len(CSV_COLUMNS) - 1)     # the fields of a failed row
+
+
 def write_csv(result: SweepResult, path_or_file) -> None:
-    """One row per axis value, failed rows with empty data fields."""
+    """One row per axis value, failed rows with empty data fields.
+
+    The bytes are those of csv.writer: comma separated, no quoting (no field
+    needs it) and "\\r\\n" line ends.
+    """
+    lines = [",".join(CSV_COLUMNS)]
+    for row in result.rows:
+        r = row.result
+        values = _NO_VALUES if r is None else (
+            r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3, r.ratio_31, r.ratio_33)
+        lines.append(",".join(map(_fmt, (row.axis_value, *values))))
+    text = "\r\n".join(lines) + "\r\n"
     if hasattr(path_or_file, "write"):
-        _write_csv(result, path_or_file)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w", newline="") as f:
-            _write_csv(result, f)
+            f.write(text)
 
 
-def _write_csv(result: SweepResult, fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(CSV_COLUMNS)
-    for row in result.rows:
-        if row.result is None:
-            writer.writerow([_fmt(row.axis_value)] + [""] * 6)
-        else:
-            r = row.result
-            writer.writerow([
-                _fmt(row.axis_value),
-                _fmt(r.re_chi1), _fmt(r.im_chi1),
-                _fmt(r.re_chi3), _fmt(r.im_chi3),
-                _fmt(r.ratio_31), _fmt(r.ratio_33),
-            ])
+def metadata(params: SystemParams, **extra) -> dict:
+    """The metadata block of every JSON output, ``extra`` keys last."""
+    from . import __version__
+    return {"tool_version": __version__, "params": params.as_dict(),
+            "gamma12": effective_gamma12(params), **extra}
 
 
 def result_metadata(result: SweepResult, extra: dict | None = None) -> dict:
-    from . import __version__
-    meta = {
-        "tool_version": __version__,
-        "params": result.params.as_dict(),
-        "gamma12": effective_gamma12(result.params),
-        "axis": result.axis_name,
-        "fixed_omega": result.fixed_omega,
-        "n_rows": len(result.rows),
-        "n_failed": result.n_failed,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    return metadata(result.params, axis=result.axis_name,
+                    fixed_omega=result.fixed_omega, n_rows=len(result.rows),
+                    n_failed=result.n_failed, **(extra or {}))
 
 
 def _json_row(keys) -> str:

@@ -104,6 +104,103 @@ class TestModes:
         assert payload["metadata"]["gamma12"] == 0.05
 
 
+_PARAMS = ["gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
+           "delta", "delta_c", "theta", "gamma12_override", "regime_factor"]
+_META = ["tool_version", "params", "gamma12"]
+_SWEEP_META = _META + ["axis", "fixed_omega", "n_rows", "n_failed"]
+_GRID = ["--start", "200.0", "--stop", "200.2", "--step", "0.1"]
+
+
+class TestKeyOrder:
+    """The JSON payloads' key order is part of their bytes: pin it."""
+
+    @pytest.mark.parametrize("argv, top, meta", [
+        (["point", "--omega", "200.1"],
+         ["metadata", "omega", "re_chi1", "im_chi1", "re_chi3", "im_chi3"],
+         _META),
+        (["features"] + _GRID,
+         ["metadata", "im_chi3_zeros", "re_chi3_extrema",
+          "transparency_points", "transparency_fraction", "re_chi3_peak"],
+         _SWEEP_META),
+        (["oracle-compare", "--fock-cutoff", "4"],
+         ["metadata", "elements", "max_abs_delta"], _META + ["fock_cutoff"]),
+        (["dump-coefficients"],
+         ["metadata", "gamma12", "basis", "cavity_response", "interference",
+          "rates"], ["tool_version", "params"]),
+    ])
+    def test_stdout_payloads(self, config_file, capsys, argv, top, meta):
+        assert main(argv + ["--config", config_file]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == top
+        assert list(payload["metadata"]) == meta
+        assert list(payload["metadata"]["params"]) == _PARAMS
+
+    def test_payload_blocks(self, config_file, capsys):
+        main(["oracle-compare", "--config", config_file, "--fock-cutoff", "4"])
+        elements = json.loads(capsys.readouterr().out)["elements"]
+        assert list(elements) == ["rho_11", "rho_mm", "rho_pp", "rho_m1"]
+        assert all(list(e) == ["analytic", "oracle", "abs_delta", "rel_delta"]
+                   for e in elements.values())
+        main(["dump-coefficients", "--config", config_file])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["basis"]) == ["c", "s", "omega_R", "lambda_plus",
+                                          "lambda_minus", "lambda_1"]
+        assert list(payload["cavity_response"]) == ["B0", "B1", "B2", "B3", "B4"]
+        assert list(payload["interference"]) == ["x1", "x2", "x3", "x4"]
+        assert list(payload["rates"]) == [
+            "R_plus_minus", "R_minus_plus", "R_1_minus", "R_1_plus", "Gamma0",
+            "Gamma_minus", "Gamma_plus", "Gamma1", "Gamma2", "Gamma3",
+            "gamma0_pair"]
+
+    @pytest.mark.parametrize("argv, meta", [
+        (["sweep", "--format", "json"] + _GRID, _SWEEP_META),
+        (["figure-preset", "fig2c", "--format", "json"] + _GRID,
+         _SWEEP_META + ["preset"]),
+    ])
+    def test_sweep_json(self, tmp_path, capsys, argv, meta):
+        out = tmp_path / "rows.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["metadata", "rows"]
+        assert list(payload["metadata"]) == meta
+        assert list(payload["rows"][0]) == ["axis", "re_chi1", "im_chi1",
+                                            "re_chi3", "im_chi3", "ratio_31",
+                                            "ratio_33"]
+
+
+class TestFlags:
+    """Each mode takes only the flags it acts on; others are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--omega", "200", "--format", "csv"],
+        ["features", "--format", "json"] + _GRID,
+        ["oracle-compare", "--format", "json"],
+        ["dump-coefficients", "--format", "csv"],
+        ["figure-preset", "fig3b", "--config", "x.json"],
+        ["figure-preset", "fig4b", "--axis", "g2"],
+        ["figure-preset", "fig4b", "--omega", "200"],
+    ])
+    def test_ignored_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_figure_preset_runs_the_sweep(self, tmp_path, capsys):
+        # a preset is the sweep mode with the preset's parameters and axis
+        preset = PRESETS["fig4b"]
+        config = tmp_path / "fig4b.json"
+        config.write_text(json.dumps(preset["params"]))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--start", "0", "--stop", "1", "--step", "0.5"]
+        assert main(["figure-preset", "fig4b", "--out", str(a)] + grid) == 0
+        assert capsys.readouterr().err == f"fig4b: 3 rows (0 failed) -> {a}\n"
+        assert main(["sweep", "--config", str(config), "--axis", "g1",
+                     "--omega", str(preset["omega"]), "--out", str(b)]
+                    + grid) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestErrors:
     def test_machine_readable_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -96,13 +96,6 @@ class TestCavityResponse:
         for B in (r.B0, r.B1, r.B2, r.B3, r.B4):
             assert abs(B) < 1e-6
 
-    def test_near_degenerate_flag(self):
-        p = quiet_params(omega21=250.0, omega_L_rabi=200.0, delta_c=200.0)
-        exact = cavity_response(p, dress(p))
-        approx = cavity_response(p, dress(p), near_degenerate=True)
-        assert approx.B4 == exact.B0 and approx.B3 == exact.B1
-        assert approx.B4 != exact.B4
-
     def test_bounds_and_positivity(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

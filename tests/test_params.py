@@ -120,6 +120,19 @@ class TestProbeGrid:
         assert len(g) == 41
         assert g.omega_values[0] == 190.0 and g.omega_values[-1] == 210.0
 
+    @pytest.mark.parametrize("start, stop, step, last, count", [
+        (199.0, 201.5, 0.7, 199.0 + 3 * 0.7, 4),
+        (0.0, 1.0, 0.6, 0.6, 2),
+        (190.0, 210.0, 0.005, 210.0, 4001),     # fig2c's window
+        (0.0, 10.0, 0.05, 10.0, 201),           # fig4b's axis
+    ])
+    def test_from_range_stops_at_stop(self, start, stop, step, last, count):
+        # a step that does not divide the range ends on the last point
+        # before stop; a multiple of the step keeps stop itself
+        g = ProbeGrid.from_range(start, stop, step)
+        assert len(g) == count and g.omega_values[-1] == last
+        assert g.omega_values[-1] <= stop
+
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             ProbeGrid([1.0, 1.0, 2.0])
@@ -154,4 +167,29 @@ class TestConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text('{"theta": 0.4, "gamma12_override": 0.01}')
         with pytest.raises(ValueError, match="mutually exclusive"):
+            load_config(cfg)
+
+    def test_optional_fields_accept_null(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"g1": 5, "theta": null, "gamma12_override": null}')
+        p = load_config(cfg)
+        assert p.theta is None and p.gamma12_override is None
+        assert p == SystemParams(g1=5.0)
+        cfg.write_text('{"theta": null, "gamma12_override": 0.01}')
+        assert load_config(cfg).gamma12_override == 0.01
+
+    def test_ints_are_numbers(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"g1": 5, "theta": 0}')
+        p = load_config(cfg)
+        assert p.g1 == 5.0 and type(p.g1) is float and p.theta == 0.0
+
+    @pytest.mark.parametrize("text", ['{"g1": true}', '{"g1": "5"}',
+                                      '{"theta": "0.5"}', '{"g1": null}',
+                                      '{"kappa": [100]}'])
+    def test_non_numbers_rejected(self, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        key = next(iter(json.loads(text)))
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
             load_config(cfg)

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +222,24 @@ def json_payload(result, extra=None):
     return {"metadata": result_metadata(result, extra), "rows": rows}
 
 
+def csv_text(result):
+    """The sweep CSV as csv.writer writes it: the writer's reference."""
+    cell = (lambda v: f"{v:.8e}" if math.isfinite(v) else "")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("axis", "re_chi1", "im_chi1", "re_chi3", "im_chi3",
+                     "ratio_31", "ratio_33"))
+    for row in result.rows:
+        r = row.result
+        if r is None:
+            writer.writerow([cell(row.axis_value)] + [""] * 6)
+        else:
+            writer.writerow([cell(v) for v in (
+                row.axis_value, r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3,
+                r.ratio_31, r.ratio_33)])
+    return buf.getvalue()
+
+
 def synthetic_result(xs, im3, re3=None, im1=None):
     rows = []
     for i, x in enumerate(xs):
@@ -298,6 +318,29 @@ class TestWriters:
         with open(out) as f:
             rows = list(csv.reader(f))
         assert rows[1][1:] == [""] * 6
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, capsys,
+                                        sideband_params):
+        # the joined rows are what csv.writer writes, to a file and to stdout:
+        # \r\n line ends, empty fields for failed rows and undefined ratios
+        swept = sweep(quiet_params(delta=0.0), [0.0, 50.0, math.nan, 200.0],
+                      axis_name="omega_L_rabi", omega=200.0)
+        synthetic = SweepResult(axis_name="g1", params=sideband_params, rows=(
+            # Im chi1 = 0 leaves ratio_31 infinite, and 0/0 leaves it nan
+            SweepRow(axis_value=-0.0,
+                     result=Susceptibility(-0.0, 0.0, 1e-300, -2.5)),
+            SweepRow(axis_value=0.0, result=Susceptibility(0.1, 0.0, 0.0, 0.0)),
+            SweepRow(axis_value=1e300, result=Susceptibility(
+                0.1, 0.2, -4.790960740961802, 5e-324)),
+        ))
+        empty = SweepResult(axis_name="omega", rows=(), params=sideband_params)
+        for result in (swept, synthetic, empty):
+            out = tmp_path / "rows.csv"
+            write_csv(result, out)
+            assert out.read_bytes() == csv_text(result).encode()
+            write_csv(result, sys.stdout)
+            assert capsys.readouterr().out == csv_text(result)
+        assert swept.n_failed == 2 and "\r\n,,,,,,\r\n" in csv_text(swept)
 
     def test_reruns_byte_identical(self, tmp_path, sideband_params):
         result = sweep(sideband_params, ProbeGrid.from_range(200.0, 200.2, 0.1))
