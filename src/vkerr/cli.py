@@ -155,12 +155,12 @@ def _sweep_from_args(args, params=None):
 
 
 def _run_sweep(args, params=None, extra_metadata=None):
+    if args.format == "json" and args.out is None:
+        raise ValueError("json sweep output needs --out")
     result = _sweep_from_args(args, params)
     if args.format == "csv":
         write_csv(result, args.out if args.out is not None else sys.stdout)
     else:
-        if args.out is None:
-            raise ValueError("json sweep output needs --out")
         write_json(result, args.out, extra_metadata)
     return result
 

@@ -119,18 +119,6 @@ class CoefficientSet:
     def blocks(self) -> tuple:
         return self.basis, self.response, self.interference, self.rates
 
-    def take(self, rows) -> "CoefficientSet":
-        """An array-valued set restricted to ``rows``."""
-        pick = (lambda column: column[rows])
-        return CoefficientSet(_map_fields(pick, self.params), self.gamma12[rows],
-                              *(_map_fields(pick, b) for b in self.blocks))
-
-
-def _map_fields(fn, block):
-    """The dataclass ``block`` with ``fn`` applied to every field that is set."""
-    return type(block)(*[None if v is None else fn(v)
-                         for v in vars(block).values()])
-
 
 _DEGENERATE = "omega_L_rabi = 0 and delta = 0"
 
@@ -239,8 +227,8 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
 
     ``failures`` maps a row without coefficients to its exception:
     DegenerateDressing where Omega_R = 0, OverflowError where a coefficient
-    leaves the floating-point range.  Those rows hold nan or inf; ``take``
-    drops them.
+    leaves the floating-point range.  Those rows hold nan or inf, which the
+    harmonic solve fails on their own rows.
     """
     with np.errstate(all="ignore"):
         omega_R = _rabi_frequency(params)
@@ -274,5 +262,5 @@ def coefficient_set(params: SystemParams) -> CoefficientSet:
     coeffs, failures = coefficient_rows(ParameterColumns.along(params))
     if failures:
         raise failures[0]
-    return CoefficientSet(params, coeffs.gamma12.item(),
-                          *(_map_fields(np.ndarray.item, b) for b in coeffs.blocks))
+    return CoefficientSet(params, coeffs.gamma12.item(), *(
+        type(b)(*[v.item() for v in vars(b).values()]) for b in coeffs.blocks))

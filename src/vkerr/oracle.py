@@ -12,12 +12,13 @@ Two independent checks live here, on numpy alone:
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
-  order.  It reads the affine generator off ``_reduced_rhs`` (the oracle's
-  only model definition), builds the one-period monodromy map with a
+  order.  It takes the equations from ``floquet.reduced_operators``, the
+  one place they are written, builds the one-period monodromy map with a
   fourth-order Magnus propagator (batched Pade-13 exponentials), solves
   for the limit cycle as the map's fixed point and reads harmonic
   amplitudes off a DFT over one period.  Step doubling bounds the
-  propagator error.  This validates the Floquet solve order by order.
+  propagator error.  Only the equations are shared with the Floquet
+  solve, so this validates its perturbative expansion order by order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dressed import CoefficientSet, dress
-from .floquet import STATE, SteadyState0
+from .floquet import STATE, SteadyState0, reduced_operators
 from .params import SystemParams, effective_gamma12
 
 __all__ = [
@@ -245,76 +246,17 @@ _MAX_DOUBLINGS = 4
 _EXPM_CHUNK = 1024
 
 
-def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
-    """RHS of the reduced equations with explicit exp(+-i delta_p t) factors."""
-    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
-    c, s = basis.c, basis.s
-    x1, x2, x3, x4 = x.x1, x.x2, x.x3, x.x4
-    g_m1 = r.Gamma3
-    g_1p = r.Gamma_plus.conjugate() + 1j * (basis.lambda_1 - basis.lambda_plus)
-    g_mp = r.gamma0_pair - 1j * basis.omega_R
-
-    def rhs(t, y):
-        z = y[0::2] + 1j * y[1::2]
-        mm, p11, m1, om, op, po, mp, pm = z
-        pp = 1.0 - mm - p11
-        ep = np.exp(1j * delta_p * t)
-        em = ep.conjugate()
-
-        d_mm = (-r.R_minus_plus * mm + r.R_plus_minus * pp + r.R_1_minus * p11
-                + s * (x1 * m1 + x1.conjugate() * om)
-                + 1j * omega_p * c * (om * ep - m1 * em))
-        d_11 = (-(r.R_1_plus + r.R_1_minus) * p11
-                - s * (x2 * m1 + x2.conjugate() * om)
-                + 1j * omega_p * (s * (op * ep - po * em) - c * (om * ep - m1 * em)))
-        d_m1 = (-g_m1 * m1 - s * (x4 * p11 + x2.conjugate() * mm)
-                + 1j * omega_p * ep * (s * mp + c * (p11 - mm)))
-        d_1m = (-g_m1.conjugate() * om - s * (x4.conjugate() * p11 + x2 * mm)
-                - 1j * omega_p * em * (s * pm + c * (p11 - mm)))
-        d_1p = (-g_1p * op - s * x2 * mp
-                + 1j * omega_p * em * (s * (p11 - pp) + c * mp))
-        d_p1 = (-g_1p.conjugate() * po - s * x2.conjugate() * pm
-                - 1j * omega_p * ep * (s * (p11 - pp) + c * pm))
-        d_mp = (-g_mp * mp - s * x3 * op
-                + 1j * omega_p * (s * m1 * em + c * op * ep))
-        d_pm = (-g_mp.conjugate() * pm - s * x3.conjugate() * po
-                - 1j * omega_p * (s * om * ep + c * po * em))
-
-        dz = np.array([d_mm, d_11, d_m1, d_1m, d_1p, d_p1, d_mp, d_pm])
-        out = np.empty_like(y)
-        out[0::2] = dz.real
-        out[1::2] = dz.imag
-        return out
-
-    return rhs
-
-
-def _affine_generator(coeffs: CoefficientSet, delta_p: float,
-                      omega_p: float):
+def _generator(coeffs: CoefficientSet, omega_p: float):
     """(C, P, M), 9x9 each, with z~' = (C + e^{i d t} P + e^{-i d t} M) z~.
 
-    z~ = (z, 1) appends the constant to the eight complex unknowns; row 8
-    stays zero.  The parts are read off ``_reduced_rhs`` itself: it is
-    affine in the complex state, so its values at the zero state and the
-    eight unit states give the columns, and the clock phases
-    e^{i d t} = 1, i, -1 separate C, P and M.
+    z~ = (z, 1) appends the unit trace to the eight complex unknowns, so the
+    constant column of each ``reduced_operators`` block acts on it; row 8
+    stays zero.  C = [A0|c0], P = Omega_p [A+|c+], M = Omega_p [A-|c-].
     """
-    rhs = _reduced_rhs(coeffs, delta_p, omega_p)
-    states = np.zeros((9, 16))
-    states[np.arange(1, 9), np.arange(0, 16, 2)] = 1.0
-    parts = []
-    for t in (0.0, 0.5 * math.pi / delta_p, math.pi / delta_p):
-        f = np.array([rhs(t, y) for y in states])
-        f = f[:, 0::2] + 1j * f[:, 1::2]     # row j: derivative at state j
-        gen = np.zeros((9, 9), dtype=complex)
-        gen[:8, :8] = (f[1:] - f[0]).T
-        gen[:8, 8] = f[0]
-        parts.append(gen)
-    at_one, at_i, at_minus_one = parts
-    C = 0.5 * (at_one + at_minus_one)
-    p_plus_m = 0.5 * (at_one - at_minus_one)
-    p_minus_m = (at_i - C) / 1j
-    return C, 0.5 * (p_plus_m + p_minus_m), 0.5 * (p_plus_m - p_minus_m)
+    gen = np.zeros((3, 9, 9), dtype=complex)
+    gen[:, :8] = reduced_operators(coeffs)[0]
+    gen[1:] *= omega_p
+    return tuple(gen)
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the
@@ -430,7 +372,7 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
     if delta_p == 0.0:
         raise ValueError("delta_p must be non-zero for a well-defined period")
     period = 2.0 * math.pi / abs(delta_p)
-    C, P, M = _affine_generator(coeffs, delta_p, omega_p)
+    C, P, M = _generator(coeffs, omega_p)
 
     def orbit_at(n_steps):
         return _limit_cycle(_sample_maps(C, P, M, delta_p, period, n_steps,

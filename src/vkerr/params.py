@@ -123,7 +123,7 @@ def _broken_rules(p):
         broken = getattr(p, name) < 0
         if some(broken):
             yield broken, "g1, g2 and omega_L_rabi must be non-negative", ()
-    for name in _COLUMNS[:-1]:
+    for name in _COLUMNS:
         value = getattr(p, name)
         if value is not None and some(broken := not_(isfinite(value))):
             yield broken, f"{name} must be finite", ()
@@ -223,6 +223,8 @@ class ProbeGrid:
         A stop that the steps reach only up to round-off is the last point,
         so a range that is a multiple of the step keeps both ends.
         """
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("probe grid values must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9)

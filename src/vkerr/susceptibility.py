@@ -76,34 +76,48 @@ def _safe_ratio(num: float, den: float) -> float:
 
 def chi(params: SystemParams, omega: float,
         coeffs: CoefficientSet | None = None) -> Susceptibility:
-    """Normalized chi1 and chi3 at one probe detuning omega = omega_p - omega_1."""
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
-    if coeffs is None:
-        coeffs, failures = coefficient_rows(ParameterColumns.along(params))
-        if failures:
-            raise failures[0]
-    (row,) = _susceptibilities(coeffs, [probe_detuning_to_delta_p(omega, params)])
+    """Normalized chi1 and chi3 at one probe detuning omega = omega_p - omega_1.
+
+    The one-row case of ``sweep``; ``coeffs`` defaults to
+    ``coefficient_set(params)``.
+    """
+    (row,) = _rows(params, [omega], coeffs=coeffs)
     if isinstance(row, Exception):
         raise row
     return row
 
 
-def _susceptibilities(coeffs: CoefficientSet, delta_p) -> list:
-    """Susceptibility, or the exception that failed it, for every row.
+def _rows(params: SystemParams, omegas, axis_name: str | None = None,
+          values=(), coeffs: CoefficientSet | None = None) -> list:
+    """Susceptibility, or the exception that failed it, for every omega.
 
-    ``coeffs`` is shared by all rows or has one array row per row.
+    Without ``axis_name`` every omega shares ``params``; with it, row i sets
+    that field to ``values[i]``.  ``coeffs`` defaults to the coefficients of
+    those rows.  Failed rows stay in the batch, which fails a row with
+    non-finite inputs on its own and leaves the other rows untouched.  A row
+    reports its first error: parameters, omega, coefficients, then the solve.
     """
-    table = HarmonicTable(coeffs, delta_p)
-    s, c = np.atleast_1d(coeffs.basis.s, coeffs.basis.c)
-    parts = []   # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
-    for k in (1, 3):
-        z, failures = table.solve(k, -1)   # order 3 inherits the failures of order 1
-        rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
-        parts += [(-(s * part(rho_1p) - c * part(rho_1m))).tolist()
-                  for part in (np.real, np.imag)]
-    return [failures.get(i) or Susceptibility(*values)
-            for i, values in enumerate(zip(*parts))]
+    columns = ParameterColumns.along(params, axis_name, values)
+    omegas = np.asarray(omegas, dtype=float)
+    # params itself is valid, so only an axis value can break a rule
+    errors = [columns.errors() if axis_name else {},
+              {int(i): ValueError("omega must be finite")
+               for i in np.flatnonzero(~np.isfinite(omegas))}]
+    with np.errstate(all="ignore"):     # failed rows carry nan and inf
+        if coeffs is None:
+            coeffs, failures = coefficient_rows(columns)
+            errors.append(failures)
+        table = HarmonicTable(coeffs, probe_detuning_to_delta_p(omegas, columns))
+        s, c = np.atleast_1d(coeffs.basis.s, coeffs.basis.c)
+        parts = []   # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
+        for k in (1, 3):
+            z, solve_failures = table.solve(k, -1)   # order 3 inherits order 1's
+            rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
+            parts += [(-(s * part(rho_1p) - c * part(rho_1m))).tolist()
+                      for part in (np.real, np.imag)]
+    errors.append(solve_failures)
+    return [next((e[i] for e in errors if i in e), Susceptibility(*row))
+            for i, row in enumerate(zip(*parts))]
 
 
 @dataclass(frozen=True)
@@ -159,28 +173,10 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
         raise ValueError("parameter sweeps need a fixed omega")
 
     if axis_name == "omega":
-        coeffs, failures, coeff_failures = coefficient_set(params), {}, {}
-        omegas, row_params = np.array(values), params
+        # one coefficient row, shared by every omega: its failure is fatal
+        outcome = _rows(params, values, coeffs=coefficient_set(params))
     else:
-        row_params = ParameterColumns.along(params, axis_name, values)
-        failures = row_params.errors()
-        coeffs, coeff_failures = coefficient_rows(row_params)
-        omegas = np.full(len(values), omega)
-    with np.errstate(all="ignore"):     # an overflowing row fails in the solve
-        delta_p = probe_detuning_to_delta_p(omegas, row_params)
-    # a row fails at its first problem: parameters, omega, then coefficients
-    for row in np.flatnonzero(~np.isfinite(omegas)):
-        failures.setdefault(int(row), ValueError("omega must be finite"))
-    for row, exc in coeff_failures.items():
-        failures.setdefault(row, exc)
-
-    outcome = [failures.get(i) for i in range(len(values))]
-    live = [i for i, row in enumerate(outcome) if row is None]
-    if live:
-        if failures and axis_name != "omega":
-            coeffs = coeffs.take(live)
-        for i, row in zip(live, _susceptibilities(coeffs, delta_p[live])):
-            outcome[i] = row
+        outcome = _rows(params, np.full(len(values), omega), axis_name, values)
     rows = tuple(
         SweepRow(axis_value=value, error=f"{type(row).__name__}: {row}")
         if isinstance(row, Exception) else SweepRow(axis_value=value, result=row)

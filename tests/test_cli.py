@@ -228,6 +228,35 @@ class TestErrors:
         payload = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert "step" in payload["error"]["message"]
 
+    def test_non_finite_override_in_config(self, tmp_path, capsys):
+        # json.load accepts NaN; the error names the field
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"gamma12_override": NaN}')
+        rc = main(["point", "--config", str(cfg), "--omega", "200"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {"error": {
+            "type": "ValueError", "message": "gamma12_override must be finite"}}
+
+    def test_non_finite_grid(self, config_file, capsys):
+        rc = main(["sweep", "--config", config_file, "--start", "nan",
+                   "--stop", "210", "--step", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {"error": {
+            "type": "ValueError", "message": "probe grid values must be finite"}}
+
+    def test_json_sweep_without_out_fails_before_sweeping(
+            self, config_file, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran before --out was checked")
+        monkeypatch.setattr("vkerr.cli.sweep", no_sweep)
+        rc = main(["sweep", "--config", config_file, "--start", "190",
+                   "--stop", "210", "--step", "0.005", "--format", "json"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert payload["error"]["message"] == "json sweep output needs --out"
+
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "vkerr.cli", "--version"],

@@ -3,17 +3,65 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vkerr import (HarmonicTable, ParameterColumns, SingularKernel, chi,
-                   coefficient_rows, coefficient_set, zeroth_order_steady_state)
+from vkerr import (CoefficientSet, HarmonicTable, ParameterColumns,
+                   SingularKernel, chi, coefficient_rows, coefficient_set,
+                   zeroth_order_steady_state)
 from vkerr.floquet import (CONJUGATE_ELEMENT, ELEMENTS, POPULATIONS,
                            reduced_operators)
-from vkerr.oracle import _reduced_rhs
 
 from test_dressed import columns_of, quiet_params, random_params
 
 # published steady-state reference for the sideband operating point
 REF_ANALYTIC = {"rho_11": 0.2072, "rho_pp": 0.2409, "rho_mm": 0.5520,
                 "rho_m1": -0.0086 - 0.1749j}
+
+
+# The reduced equations written out element by element, as a closure over
+# the real/imaginary-interleaved state that scipy's integrators take.  It is
+# the reference that reduced_operators (and with it the Floquet solve and the
+# time-domain oracle) is checked against.
+def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
+    """RHS of the reduced equations with explicit exp(+-i delta_p t) factors."""
+    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
+    c, s = basis.c, basis.s
+    x1, x2, x3, x4 = x.x1, x.x2, x.x3, x.x4
+    g_m1 = r.Gamma3
+    g_1p = r.Gamma_plus.conjugate() + 1j * (basis.lambda_1 - basis.lambda_plus)
+    g_mp = r.gamma0_pair - 1j * basis.omega_R
+
+    def rhs(t, y):
+        z = y[0::2] + 1j * y[1::2]
+        mm, p11, m1, om, op, po, mp, pm = z
+        pp = 1.0 - mm - p11
+        ep = np.exp(1j * delta_p * t)
+        em = ep.conjugate()
+
+        d_mm = (-r.R_minus_plus * mm + r.R_plus_minus * pp + r.R_1_minus * p11
+                + s * (x1 * m1 + x1.conjugate() * om)
+                + 1j * omega_p * c * (om * ep - m1 * em))
+        d_11 = (-(r.R_1_plus + r.R_1_minus) * p11
+                - s * (x2 * m1 + x2.conjugate() * om)
+                + 1j * omega_p * (s * (op * ep - po * em) - c * (om * ep - m1 * em)))
+        d_m1 = (-g_m1 * m1 - s * (x4 * p11 + x2.conjugate() * mm)
+                + 1j * omega_p * ep * (s * mp + c * (p11 - mm)))
+        d_1m = (-g_m1.conjugate() * om - s * (x4.conjugate() * p11 + x2 * mm)
+                - 1j * omega_p * em * (s * pm + c * (p11 - mm)))
+        d_1p = (-g_1p * op - s * x2 * mp
+                + 1j * omega_p * em * (s * (p11 - pp) + c * mp))
+        d_p1 = (-g_1p.conjugate() * po - s * x2.conjugate() * pm
+                - 1j * omega_p * ep * (s * (p11 - pp) + c * pm))
+        d_mp = (-g_mp * mp - s * x3 * op
+                + 1j * omega_p * (s * m1 * em + c * op * ep))
+        d_pm = (-g_mp.conjugate() * pm - s * x3.conjugate() * po
+                - 1j * omega_p * (s * om * ep + c * po * em))
+
+        dz = np.array([d_mm, d_11, d_m1, d_1m, d_1p, d_p1, d_mp, d_pm])
+        out = np.empty_like(y)
+        out[0::2] = dz.real
+        out[1::2] = dz.imag
+        return out
+
+    return rhs
 
 
 def assert_hermitian_table(table, m_max=3):
@@ -156,9 +204,10 @@ class TestBatchedSolve:
             HarmonicTable(undamped, resonant).get("1p", 1, -1)
 
     def test_operators_match_reduced_rhs(self):
-        # the operators are transcribed independently of oracle._reduced_rhs;
-        # both must give the same time derivative at any (t, y), here with
-        # every draw one row of a single array-valued coefficient set
+        # the operators against _reduced_rhs, the equations transcribed
+        # independently above: both must give the same time derivative at
+        # any (t, y), here with every draw one row of a single array-valued
+        # coefficient set
         rng = np.random.default_rng(11)
         draws = [random_params(rng) for _ in range(50)]
         rows, failures = coefficient_rows(columns_of(draws))

@@ -6,12 +6,13 @@ from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
                    lindblad_steady_state, time_domain_reference,
                    zeroth_order_steady_state)
 from vkerr.floquet import STATE
-from vkerr.oracle import (_THETA13, _affine_generator, _expm,
-                          _magnus_exponents, _null_state, _reduced_rhs,
-                          _sample_maps, atom_operators, liouvillian)
+from vkerr.oracle import (_THETA13, _expm, _generator, _magnus_exponents,
+                          _null_state, _sample_maps, atom_operators,
+                          liouvillian)
 from vkerr.params import effective_gamma12
 
 from test_dressed import quiet_params, random_params
+from test_floquet import _reduced_rhs
 
 # published exact-solve reference for the sideband operating point
 REF_EXACT = {"rho_11": 0.2082, "rho_pp": 0.2375, "rho_mm": 0.5543,
@@ -187,7 +188,7 @@ class TestExpm:
     def test_sideband_magnus_batch(self, sideband_params):
         # the exponents the oracle itself takes at the sideband point
         cs = coefficient_set(sideband_params)
-        C, P, M = _affine_generator(cs, 0.25, 1e-3)
+        C, P, M = _generator(cs, 1e-3)
         h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
         omega = _magnus_exponents(C, P, M, 0.25, h, np.arange(1024))
         assert np.abs(omega).sum(axis=-2).max() < _THETA13
@@ -303,7 +304,7 @@ class TestTimeDomainReference:
                                             monkeypatch):
         # a chunk smaller than one sample interval splits the interval's
         # product across exponential batches; the maps must not notice
-        C, P, M = _affine_generator(coefficient_set(gentle_params), 0.2, 1e-3)
+        C, P, M = _generator(coefficient_set(gentle_params), 1e-3)
         args = (C, P, M, 0.2, 2.0 * np.pi / 0.2, 96, 8)
         whole = _sample_maps(*args)
         monkeypatch.setattr("vkerr.oracle._EXPM_CHUNK", 5)
@@ -325,9 +326,9 @@ class TestTimeDomainReference:
 
 class TestAffineGenerator:
     def test_reproduces_reduced_rhs(self):
-        # C/P/M are read off the closure at real unit states and three clock
-        # phases; random complex states at random times check the read-off
-        # and the complex linearity it relies on
+        # C/P/M are the floquet operators padded to the constant-augmented
+        # state and scaled by omega_p; random complex states at random times
+        # check them against the independently written equations
         rng = np.random.default_rng(7)
         for _ in range(50):
             cs = coefficient_set(random_params(rng))
@@ -336,7 +337,7 @@ class TestAffineGenerator:
             t = rng.uniform(0.0, 50.0)
             y = rng.normal(size=16)
             zt = np.append(y[0::2] + 1j * y[1::2], 1.0)
-            C, P, M = _affine_generator(cs, dp, wp)
+            C, P, M = _generator(cs, wp)
             ours = (C + np.exp(1j * dp * t) * P + np.exp(-1j * dp * t) * M) @ zt
             ref = _reduced_rhs(cs, dp, wp)(t, y)
             ref = ref[0::2] + 1j * ref[1::2]

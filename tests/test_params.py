@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vkerr import (ProbeGrid, RegimeAdvisory, SystemParams, effective_gamma12,
-                   load_config, probe_detuning_to_delta_p)
+from vkerr import (ParameterColumns, ProbeGrid, RegimeAdvisory, SystemParams,
+                   effective_gamma12, load_config, probe_detuning_to_delta_p)
 
 rates = st.floats(min_value=1e-3, max_value=10.0)
 angles = st.floats(min_value=0.0, max_value=math.pi)
@@ -81,6 +83,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             quiet_params(gamma1=0.1, gamma2=0.1, gamma12_override=0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_override(self, value):
+        # nan slips past the |gamma12| bound, so finiteness is its own rule
+        with pytest.raises(ValueError, match="^gamma12_override must be finite$"):
+            quiet_params(gamma12_override=value)
+
+    def test_columns_reject_non_finite_override(self):
+        columns = dataclasses.replace(
+            ParameterColumns.along(quiet_params(), "g1", [1.0, 2.0, 3.0]),
+            gamma12_override=np.array([0.01, math.nan, math.inf]))
+        errors = columns.errors()
+        assert set(errors) == {1, 2}
+        assert {str(e) for e in errors.values()} == {
+            "gamma12_override must be finite"}
+
     def test_theta_and_override_exclusive(self):
         with pytest.raises(ValueError):
             quiet_params(theta=0.3, gamma12_override=0.01)
@@ -144,6 +161,15 @@ class TestProbeGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ProbeGrid([])
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (math.nan, 210.0, 0.5), (-math.inf, 210.0, 0.5),
+        (190.0, math.nan, 0.5), (190.0, math.inf, 0.5),
+        (190.0, 210.0, math.nan), (190.0, 210.0, math.inf),
+    ])
+    def test_from_range_rejects_non_finite(self, start, stop, step):
+        with pytest.raises(ValueError, match="^probe grid values must be finite$"):
+            ProbeGrid.from_range(start, stop, step)
 
 
 class TestConfig:
