@@ -18,8 +18,8 @@ from .floquet import (HarmonicTable, SingularKernel, SingularSteadyState,
                       SteadyState0, zeroth_order_steady_state)
 from .oracle import (DegenerateNullSpace, FockTruncation, LimitCycleRecord,
                      NoLimitCycle, NonConvergedTruncation,
-                     converged_steady_state, lindblad_steady_state,
-                     time_domain_reference)
+                     NonHermitianGenerator, converged_steady_state,
+                     lindblad_steady_state, time_domain_reference)
 from .params import (ParameterColumns, ProbeGrid, RegimeAdvisory,
                      SystemParams, effective_gamma12, load_config,
                      probe_detuning_to_delta_p)
@@ -42,6 +42,7 @@ __all__ = [
     "zeroth_order_steady_state",
     "FockTruncation", "LimitCycleRecord",
     "NonConvergedTruncation", "DegenerateNullSpace", "NoLimitCycle",
+    "NonHermitianGenerator",
     "lindblad_steady_state", "converged_steady_state", "time_domain_reference",
     "Susceptibility", "SweepRow", "SweepResult", "FeatureReport",
     "chi", "sweep", "find_features", "write_csv", "write_json",

@@ -13,12 +13,16 @@ Two independent checks live here, on numpy alone:
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
   order.  It takes the equations from ``floquet.reduced_operators``, the
-  one place they are written, builds the one-period monodromy map with a
-  fourth-order Magnus propagator (batched Pade-13 exponentials), solves
-  for the limit cycle as the map's fixed point and reads harmonic
-  amplitudes off a DFT over one period.  Step doubling bounds the
-  propagator error.  Only the equations are shared with the Floquet
-  solve, so this validates its perturbative expansion order by order.
+  one place they are written, and maps them once into real coordinates
+  (each conjugate pair of unknowns becomes its real and imaginary part),
+  where the equations are real.  There it builds the one-period
+  monodromy map with a fourth-order Magnus propagator (batched Pade-13
+  exponentials of real 9x9 matrices), solves for the limit cycle as the
+  map's fixed point, maps the orbit back to the complex unknowns and
+  reads harmonic amplitudes off a DFT over one period.  Step doubling
+  bounds the propagator error.  Only the equations are shared with the
+  Floquet solve, so this validates its perturbative expansion order by
+  order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "NonConvergedTruncation",
     "DegenerateNullSpace",
     "NoLimitCycle",
+    "NonHermitianGenerator",
     "FockTruncation",
     "LimitCycleRecord",
     "atom_operators",
@@ -58,6 +63,10 @@ class NoLimitCycle(RuntimeError):
     """No stable periodic orbit, or the propagator missed its tolerance."""
 
 
+class NonHermitianGenerator(ArithmeticError):
+    """The reduced equations do not map conjugate elements onto conjugates."""
+
+
 @dataclass(frozen=True)
 class FockTruncation:
     n_max: int
@@ -75,6 +84,11 @@ class LimitCycleRecord:
     for n in [-3, 3]; element keys follow the floquet module labels.
     ``step_error`` is the accepted step-doubling estimate: the largest
     change of any sampled element between the last two step counts.
+    ``hermiticity_error`` is the defect of the generator, not of the orbit:
+    the largest imaginary part of the equations in real coordinates,
+    relative to their largest entry (see ``_generator``).  The orbit is
+    propagated in those coordinates, so its conjugate elements are exact
+    conjugates by construction.
     """
     delta_p: float
     omega_p: float
@@ -244,19 +258,49 @@ def converged_steady_state(params: SystemParams, n_max_start: int = 2,
 _MAX_STEP_PHASE = 2.0
 _MAX_DOUBLINGS = 4
 _EXPM_CHUNK = 1024
+# A first step count above this raises up front.  One orbit at the cap
+# takes ~10 s on a 2-core x86 host (~10 us per Magnus step), and the first
+# step-doubling comparison three times that.
+_MAX_STEPS = 2 ** 20
+
+# The reduced equations hold each coherence and its conjugate as a pair of
+# unknowns (z, z*).  The real coordinates u = T z~ hold (Re z, Im z) in
+# their place: u = (mm, 11, Re m1, Im m1, Re 1p, Im 1p, Re mp, Im mp, 1).
+_T = np.eye(9, dtype=complex)
+_T[2:8, 2:8] = np.kron(np.eye(3), [[0.5, 0.5], [-0.5j, 0.5j]])
+_T_INV = np.eye(9, dtype=complex)
+_T_INV[2:8, 2:8] = np.kron(np.eye(3), [[1.0, 1j], [1.0, -1j]])
+# largest imaginary part the generator may keep in u, relative to its
+# largest entry, before the equations count as not conjugation symmetric
+_MAX_HERMITICITY_DEFECT = 1e-12
 
 
 def _generator(coeffs: CoefficientSet, omega_p: float):
-    """(C, P, M), 9x9 each, with z~' = (C + e^{i d t} P + e^{-i d t} M) z~.
+    """Real (C, S, Q), stacked (3, 9, 9), and the hermiticity defect.
 
     z~ = (z, 1) appends the unit trace to the eight complex unknowns, so the
     constant column of each ``reduced_operators`` block acts on it; row 8
-    stays zero.  C = [A0|c0], P = Omega_p [A+|c+], M = Omega_p [A-|c-].
+    stays zero.  There z~' = (C + e^{i d t} P + e^{-i d t} M) z~ with
+    C = [A0|c0], P = Omega_p [A+|c+] and M = Omega_p [A-|c-].  In u = T z~
+    this reads u' = (C + cos(d t) S + sin(d t) Q) u, with C taken to
+    T C T^-1, S = T (P + M) T^-1 and Q = T i(P - M) T^-1.  Equations that
+    map each element onto its conjugate make all three real.  The defect
+    is the largest imaginary part left in T (C, P+M, i(P-M)) T^-1, relative
+    to that matrix's largest entry; above _MAX_HERMITICITY_DEFECT it raises
+    NonHermitianGenerator.
     """
-    gen = np.zeros((3, 9, 9), dtype=complex)
-    gen[:, :8] = reduced_operators(coeffs)[0]
-    gen[1:] *= omega_p
-    return tuple(gen)
+    a0, a_plus, a_minus = reduced_operators(coeffs)[0]
+    ops = np.zeros((3, 9, 9), dtype=complex)
+    ops[:, :8] = a0, a_plus + a_minus, 1j * (a_plus - a_minus)
+    ops = _T @ ops @ _T_INV
+    defect = float((np.abs(ops.imag).max(axis=(1, 2))
+                    / np.abs(ops).max(axis=(1, 2))).max())
+    if not defect <= _MAX_HERMITICITY_DEFECT:
+        raise NonHermitianGenerator(
+            f"hermiticity defect {defect:.3e} of the reduced equations above "
+            f"{_MAX_HERMITICITY_DEFECT:g}: conjugate elements do not obey "
+            "conjugate equations")
+    return ops.real * np.array([1.0, omega_p, omega_p])[:, None, None], defect
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the
@@ -295,32 +339,34 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _magnus_exponents(C, P, M, delta_p: float, h: float,
+def _magnus_exponents(C, S, Q, delta_p: float, h: float,
                       steps: np.ndarray) -> np.ndarray:
-    """Exponent Omega of each Magnus step k in ``steps``, over [k h, (k+1) h].
+    """Real exponent Omega of Magnus step k in ``steps``, over [k h, (k+1) h].
 
     Fourth-order Magnus step on the two Gauss-Legendre nodes,
     Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] (Blanes, Casas, Oteo &
-    Ros, Phys. Rep. 470, 151 (2009)).  With A = C + e P + conj(e) M the
-    commutator expands over three fixed commutators, so every Omega is a
-    linear combination of six 9x9 matrices.
+    Ros, Phys. Rep. 470, 151 (2009)), in the real coordinates u = T z~.
+    With A_j = C + a_j S + b_j Q, a_j = cos(d t_j) and b_j = sin(d t_j),
+    [A2, A1] = (a1 - a2) [C, S] + (b1 - b2) [C, Q] + (a2 b1 - a1 b2) [S, Q],
+    so every Omega is a real linear combination of six fixed 9x9 matrices.
     """
-    basis = np.stack([C, P, M, C @ P - P @ C, C @ M - M @ C, P @ M - M @ P])
+    basis = np.stack([C, S, Q, C @ S - S @ C, C @ Q - Q @ C, S @ Q - Q @ S])
     nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
     k = math.sqrt(3.0) * h * h / 12.0
-    e1, e2 = np.exp(1j * delta_p * h * (steps[:, None] + nodes)).T
-    w = np.stack([np.full(len(steps), h + 0j),
-                  0.5 * h * (e1 + e2), 0.5 * h * np.conj(e1 + e2),
-                  k * (e1 - e2), k * np.conj(e1 - e2),
-                  k * (e2 * np.conj(e1) - np.conj(e2) * e1)], axis=1)
+    phase = delta_p * h * (steps[:, None] + nodes)
+    (a1, a2), (b1, b2) = np.cos(phase).T, np.sin(phase).T
+    w = np.stack([np.full(len(steps), h),
+                  0.5 * h * (a1 + a2), 0.5 * h * (b1 + b2),
+                  k * (a1 - a2), k * (b1 - b2), k * (a2 * b1 - a1 * b2)],
+                 axis=1)
     # einsum, not tensordot: a threaded BLAS product here leaves worker
     # threads spinning that slow every later small expm two- to threefold
     return np.einsum("nk,kij->nij", w, basis)
 
 
-def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
+def _sample_maps(C, S, Q, delta_p: float, period: float, n_steps: int,
                  n_samples: int) -> np.ndarray:
-    """Propagators of z~ across each of the n_samples intervals of a period.
+    """Propagators of u across each of the n_samples intervals of a period.
 
     Each is the ordered product of the interval's Magnus step exponentials,
     taken _EXPM_CHUNK steps at a time.
@@ -329,14 +375,14 @@ def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
     per_sample = n_steps // n_samples
     batch = min(per_sample, _EXPM_CHUNK)                  # steps per interval
     intervals = max(1, _EXPM_CHUNK // per_sample)         # intervals per chunk
-    maps = np.empty((n_samples, 9, 9), dtype=complex)
+    maps = np.empty((n_samples, 9, 9))
     for i0 in range(0, n_samples, intervals):
         i1 = min(i0 + intervals, n_samples)
         acc = None
         for j0 in range(0, per_sample, batch):
             j = np.arange(j0, min(j0 + batch, per_sample))
             steps = (np.arange(i0, i1)[:, None] * per_sample + j).ravel()
-            props = _expm(_magnus_exponents(C, P, M, delta_p, h, steps))
+            props = _expm(_magnus_exponents(C, S, Q, delta_p, h, steps))
             props = props.reshape(i1 - i0, len(j), 9, 9)
             for col in range(len(j)):
                 acc = props[:, col] if acc is None else props[:, col] @ acc
@@ -345,7 +391,11 @@ def _sample_maps(C, P, M, delta_p: float, period: float, n_steps: int,
 
 
 def _limit_cycle(maps: np.ndarray) -> np.ndarray:
-    """Sampled periodic orbit (n_samples, 8): the fixed point of the period map."""
+    """Sampled periodic orbit z (n_samples, 8), the period map's fixed point.
+
+    The maps propagate the real coordinates u; the orbit is solved and
+    sampled in u and mapped back to the complex unknowns through T^-1.
+    """
     phi = maps[0]
     for m in maps[1:]:
         phi = m @ phi
@@ -353,11 +403,11 @@ def _limit_cycle(maps: np.ndarray) -> np.ndarray:
     if mu >= 1.0:
         raise NoLimitCycle(f"Floquet multiplier of modulus {mu:.6g} >= 1")
     state = np.append(np.linalg.solve(np.eye(8) - phi[:8, :8], phi[:8, 8]), 1.0)
-    orbit = np.empty((len(maps), 8), dtype=complex)
+    orbit = np.empty((len(maps), 9))
     for j, m in enumerate(maps):
-        orbit[j] = state[:8]
+        orbit[j] = state
         state = m @ state
-    return orbit
+    return (orbit @ _T_INV.T)[:, :8]
 
 
 def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
@@ -365,22 +415,32 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
                           rtol: float = 1e-10) -> LimitCycleRecord:
     """Solve the reduced equations for their limit cycle and DFT it.
 
-    The period map z -> Phi z + p comes from a Magnus propagator whose step
+    The period map u -> Phi u + p comes from a Magnus propagator whose step
     count is doubled until two successive orbits agree to ``rtol`` of the
-    largest element; the cycle is then z* = (1 - Phi)^{-1} p.
+    largest element; the cycle is then u* = (1 - Phi)^{-1} p.  A first step
+    count above _MAX_STEPS raises NoLimitCycle before any step is taken.
     """
+    for name, value in (("delta_p", delta_p), ("omega_p", omega_p)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if delta_p == 0.0:
         raise ValueError("delta_p must be non-zero for a well-defined period")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     period = 2.0 * math.pi / abs(delta_p)
-    C, P, M = _generator(coeffs, omega_p)
+    (C, S, Q), defect = _generator(coeffs, omega_p)
 
     def orbit_at(n_steps):
-        return _limit_cycle(_sample_maps(C, P, M, delta_p, period, n_steps,
+        return _limit_cycle(_sample_maps(C, S, Q, delta_p, period, n_steps,
                                          n_samples))
 
     rate = np.abs(np.linalg.eigvals(C[:8, :8])).max()
     n_steps = n_samples * max(1, math.ceil(period * rate / (_MAX_STEP_PHASE
                                                             * n_samples)))
+    if n_steps > _MAX_STEPS:
+        raise NoLimitCycle(
+            f"{n_steps} Magnus steps per period needed at delta_p "
+            f"{delta_p:g}, above the cap of {_MAX_STEPS}")
     coarse = orbit_at(n_steps)
     for _ in range(_MAX_DOUBLINGS):
         n_steps *= 2
@@ -397,11 +457,6 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
     sample_times = period * np.arange(n_samples) / n_samples
     trajectory = {name: orbit[:, i] for i, name in enumerate(STATE)}
     trajectory["pp"] = 1.0 - trajectory["mm"] - trajectory["11"]
-    herm_err = max(
-        np.abs(trajectory["1m"] - trajectory["m1"].conj()).max(),
-        np.abs(trajectory["p1"] - trajectory["1p"].conj()).max(),
-        np.abs(trajectory["pm"] - trajectory["mp"].conj()).max(),
-    )
 
     # phase of each sample relative to the absolute drive clock
     phases = np.exp(-1j * delta_p * sample_times)
@@ -413,5 +468,5 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
     return LimitCycleRecord(
         delta_p=delta_p, omega_p=omega_p,
         times=sample_times, trajectory=trajectory, harmonics=harmonics,
-        step_error=float(step_error), hermiticity_error=float(herm_err),
+        step_error=float(step_error), hermiticity_error=defect,
     )

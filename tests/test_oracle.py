@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
-                   coefficient_set, converged_steady_state,
-                   lindblad_steady_state, time_domain_reference,
-                   zeroth_order_steady_state)
-from vkerr.floquet import STATE
-from vkerr.oracle import (_THETA13, _expm, _generator, _magnus_exponents,
-                          _null_state, _sample_maps, atom_operators,
-                          liouvillian)
+                   NonHermitianGenerator, coefficient_set,
+                   converged_steady_state, lindblad_steady_state,
+                   time_domain_reference, zeroth_order_steady_state)
+from vkerr.floquet import STATE, reduced_operators
+from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
+                          _magnus_exponents, _null_state, _sample_maps,
+                          atom_operators, liouvillian)
 from vkerr.params import effective_gamma12
 
 from test_dressed import quiet_params, random_params
@@ -188,9 +190,9 @@ class TestExpm:
     def test_sideband_magnus_batch(self, sideband_params):
         # the exponents the oracle itself takes at the sideband point
         cs = coefficient_set(sideband_params)
-        C, P, M = _generator(cs, 1e-3)
+        (C, S, Q), _ = _generator(cs, 1e-3)
         h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
-        omega = _magnus_exponents(C, P, M, 0.25, h, np.arange(1024))
+        omega = _magnus_exponents(C, S, Q, 0.25, h, np.arange(1024))
         assert np.abs(omega).sum(axis=-2).max() < _THETA13
         assert _expm_rel_error(omega) <= 1e-13
 
@@ -276,7 +278,24 @@ class TestTimeDomainReference:
         assert chi1_full == pytest.approx(chi1_half, rel=1e-4)
 
     def test_hermiticity_tracked_redundantly(self, gentle_cycle):
+        # the orbit is propagated in real coordinates and is hermitian by
+        # construction; what is tracked is the generator's defect, i.e.
+        # whether each element's equation is the conjugate of its partner's
         assert gentle_cycle.hermiticity_error < 1e-9
+
+    def test_conjugate_defect_is_typed(self, gentle_params, monkeypatch):
+        # rho_{1-} damped 1e-6 faster than rho_{-1}: the equations no longer
+        # map conjugates onto conjugates, and dropping the imaginary part
+        # of the real-coordinate generator would hide it
+        def skewed(coeffs):
+            ops = reduced_operators(coeffs)
+            ops[:, 0, 3, 3] -= 1e-6
+            return ops
+
+        monkeypatch.setattr("vkerr.oracle.reduced_operators", skewed)
+        cs = coefficient_set(gentle_params)
+        with pytest.raises(NonHermitianGenerator, match="hermiticity defect"):
+            time_domain_reference(cs, omega_p=1e-3, delta_p=0.2)
 
     def test_limit_cycle_closes_under_independent_integration(
             self, gentle_params, gentle_cycle):
@@ -304,8 +323,8 @@ class TestTimeDomainReference:
                                             monkeypatch):
         # a chunk smaller than one sample interval splits the interval's
         # product across exponential batches; the maps must not notice
-        C, P, M = _generator(coefficient_set(gentle_params), 1e-3)
-        args = (C, P, M, 0.2, 2.0 * np.pi / 0.2, 96, 8)
+        (C, S, Q), _ = _generator(coefficient_set(gentle_params), 1e-3)
+        args = (C, S, Q, 0.2, 2.0 * np.pi / 0.2, 96, 8)
         whole = _sample_maps(*args)
         monkeypatch.setattr("vkerr.oracle._EXPM_CHUNK", 5)
         split = _sample_maps(*args)
@@ -315,6 +334,26 @@ class TestTimeDomainReference:
         cs = coefficient_set(gentle_params)
         with pytest.raises(ValueError):
             time_domain_reference(cs, omega_p=1e-3, delta_p=0.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"delta_p": math.nan}, "delta_p"), ({"delta_p": math.inf}, "delta_p"),
+        ({"omega_p": math.nan}, "omega_p"), ({"omega_p": math.inf}, "omega_p"),
+        ({"n_samples": 0}, "n_samples"),
+    ], ids=["delta_p-nan", "delta_p-inf", "omega_p-nan", "omega_p-inf",
+            "n_samples-0"])
+    def test_invalid_input_names_the_argument(self, gentle_params, kwargs,
+                                              name):
+        cs = coefficient_set(gentle_params)
+        args = {"omega_p": 1e-3, "delta_p": 0.2, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            time_domain_reference(cs, **args)
+
+    def test_step_budget_checked_before_stepping(self, gentle_params):
+        # a period of 6e9 would take ~1e12 Magnus steps; the step count is
+        # checked before the first one
+        cs = coefficient_set(gentle_params)
+        with pytest.raises(NoLimitCycle, match="Magnus steps"):
+            time_domain_reference(cs, omega_p=1e-3, delta_p=1e-9)
 
     def test_no_limit_cycle_on_unmeetable_tolerance(self, gentle_params):
         # step doubling can never reach rtol 0, so the doubling cap fires
@@ -326,9 +365,10 @@ class TestTimeDomainReference:
 
 class TestAffineGenerator:
     def test_reproduces_reduced_rhs(self):
-        # C/P/M are the floquet operators padded to the constant-augmented
-        # state and scaled by omega_p; random complex states at random times
-        # check them against the independently written equations
+        # C/S/Q are the floquet operators padded to the constant-augmented
+        # state, scaled by omega_p and taken to real coordinates; mapped
+        # back through T, at random complex states and random times, they
+        # must give the independently written equations
         rng = np.random.default_rng(7)
         for _ in range(50):
             cs = coefficient_set(random_params(rng))
@@ -337,10 +377,36 @@ class TestAffineGenerator:
             t = rng.uniform(0.0, 50.0)
             y = rng.normal(size=16)
             zt = np.append(y[0::2] + 1j * y[1::2], 1.0)
-            C, P, M = _generator(cs, wp)
-            ours = (C + np.exp(1j * dp * t) * P + np.exp(-1j * dp * t) * M) @ zt
+            (C, S, Q), _ = _generator(cs, wp)
+            real = C + np.cos(dp * t) * S + np.sin(dp * t) * Q
+            ours = _T_INV @ real @ _T @ zt
             ref = _reduced_rhs(cs, dp, wp)(t, y)
             ref = ref[0::2] + 1j * ref[1::2]
             assert np.all(ours[8] == 0.0)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(ours[:8] - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("omega_p", [1e-3, 1.0])
+    def test_magnus_exponent_matches_textbook_form(self, sideband_params,
+                                                   omega_p):
+        # Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] with A(t) formed
+        # as a complex matrix at each Gauss node, against the real-coordinate
+        # exponent mapped back through T; at omega_p 1 the [S, Q] term,
+        # second order in the probe, is large enough to be checked too
+        cs = coefficient_set(sideband_params)
+        (C, S, Q), _ = _generator(cs, omega_p)
+        ops = np.zeros((3, 9, 9), dtype=complex)
+        ops[:, :8] = reduced_operators(cs)[0]
+        c0, p0, m0 = ops[0], omega_p * ops[1], omega_p * ops[2]
+        dp = 0.25
+        h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
+        steps = np.arange(1024)
+        t1, t2 = (h * (steps + 0.5 + sign * math.sqrt(3.0) / 6.0)
+                  for sign in (-1.0, 1.0))
+        a1, a2 = (c0 + np.exp(1j * dp * t)[:, None, None] * p0
+                  + np.exp(-1j * dp * t)[:, None, None] * m0
+                  for t in (t1, t2))
+        ref = (0.5 * h * (a1 + a2)
+               + math.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2))
+        ours = _T_INV @ _magnus_exponents(C, S, Q, dp, h, steps) @ _T
+        assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
