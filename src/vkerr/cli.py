@@ -202,7 +202,7 @@ def _run_figure_preset(args) -> None:
     args.out = args.out or f"{args.preset}.{args.format}"
     result = _run_sweep(args, SystemParams(**preset["params"]),
                         {"preset": args.preset})
-    sys.stderr.write(f"{args.preset}: {len(result.rows)} rows "
+    sys.stderr.write(f"{args.preset}: {len(result)} rows "
                      f"({result.n_failed} failed) -> {args.out}\n")
 
 

@@ -147,7 +147,8 @@ class HarmonicTable:
     one-row arrays it is shared by every probe detuning in ``delta_p``; with
     arrays of one row per detuning (``coefficient_rows``) each row has its
     own.  A scalar ``delta_p`` makes a one-row table.  Each order is solved
-    for all rows with one stacked 8x8 solve.  A row whose kernel is singular,
+    for all rows with one stacked 8x8 solve; a kernel that every row shares
+    is factored once.  A row whose kernel is singular,
     or whose solution is not finite, records its error and the other rows are
     unaffected: every row is bitwise independent of the batch it sits in.
     """
@@ -221,7 +222,13 @@ class HarmonicTable:
             # identity stand-ins keep the stacked solve regular
             kernels = np.where(singular[:, None, None], _EYE, kernels)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)
-        z[:, :_DIM] = np.linalg.solve(kernels, rhs[..., None])[..., 0]
+        if len(kernels) == 1:
+            # one kernel for every row (n = 0 of shared coefficients): one
+            # factorization with the rows as right-hand-side columns; each
+            # column comes out in the bits of a one-row solve
+            z[:, :_DIM] = np.linalg.solve(kernels[0], rhs.T).T
+        else:
+            z[:, :_DIM] = np.linalg.solve(kernels, rhs[..., None])[..., 0]
         z[:, TRACE] = 1.0 if m == 0 else 0.0
         # a regular kernel can still over- or underflow into inf or nan
         if any_singular or not np.isfinite(z).all():

@@ -207,14 +207,14 @@ class ProbeGrid:
     omega_values: tuple
 
     def __init__(self, omega_values):
-        values = tuple(float(w) for w in omega_values)
-        if not values:
+        values = np.fromiter(omega_values, dtype=float)
+        if not len(values):
             raise ValueError("probe grid must not be empty")
-        if any(not math.isfinite(w) for w in values):
+        if not np.isfinite(values).all():
             raise ValueError("probe grid values must be finite")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if not (values[1:] > values[:-1]).all():
             raise ValueError("probe grid must be strictly increasing")
-        object.__setattr__(self, "omega_values", values)
+        object.__setattr__(self, "omega_values", tuple(values.tolist()))
 
     @classmethod
     def from_range(cls, start: float, stop: float, step: float) -> "ProbeGrid":
@@ -228,7 +228,8 @@ class ProbeGrid:
         if step <= 0:
             raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9)
-        return cls(start + step * i for i in range(n + 1))
+        # float64 products and sums: the bits of start + step * i in Python
+        return cls(start + step * np.arange(n + 1))
 
     def __len__(self):
         return len(self.omega_values)

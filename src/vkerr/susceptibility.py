@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,43 +81,53 @@ def chi(params: SystemParams, omega: float,
     The one-row case of ``sweep``; ``coeffs`` defaults to
     ``coefficient_set(params)``.
     """
-    (row,) = _rows(params, [omega], coeffs=coeffs)
-    if isinstance(row, Exception):
-        raise row
-    return row
+    chis, errors = _rows(params, [omega], coeffs=coeffs)
+    if errors:
+        raise errors[0]
+    return Susceptibility(*chis[:, 0].tolist())
 
 
 def _rows(params: SystemParams, omegas, axis_name: str | None = None,
-          values=(), coeffs: CoefficientSet | None = None) -> list:
-    """Susceptibility, or the exception that failed it, for every omega.
+          values=(), coeffs: CoefficientSet | None = None) -> tuple:
+    """(chis, errors): chi at every omega, and the error of each failed row.
 
-    Without ``axis_name`` every omega shares ``params``; with it, row i sets
-    that field to ``values[i]``.  ``coeffs`` defaults to the coefficients of
-    those rows.  Failed rows stay in the batch, which fails a row with
-    non-finite inputs on its own and leaves the other rows untouched.  A row
-    reports its first error: parameters, omega, coefficients, then the solve.
+    ``chis`` has shape (4, rows): Re chi1, Im chi1, Re chi3 and Im chi3,
+    nan on a failed row.  ``errors`` maps a failed row to its first error:
+    parameters, omega, coefficients, then the solve.  Without ``axis_name``
+    every omega shares ``params``; with it, row i sets that field to
+    ``values[i]``.  ``coeffs`` defaults to the coefficients of those rows.
+    Failed rows stay in the batch, which fails a row with non-finite inputs
+    on its own and leaves the other rows untouched.
     """
-    columns = ParameterColumns.along(params, axis_name, values)
     omegas = np.asarray(omegas, dtype=float)
-    # params itself is valid, so only an axis value can break a rule
-    errors = [columns.errors() if axis_name else {},
-              {int(i): ValueError("omega must be finite")
-               for i in np.flatnonzero(~np.isfinite(omegas))}]
+    if axis_name is None and coeffs is not None:
+        columns, errors = params, []    # only omega21 and delta are read
+    else:
+        columns = ParameterColumns.along(params, axis_name, values)
+        # params itself is valid, so only an axis value can break a rule
+        errors = [columns.errors() if axis_name else {}]
+    errors.append({int(i): ValueError("omega must be finite")
+                   for i in np.flatnonzero(~np.isfinite(omegas))})
+    # allocated before the solve's temporaries rather than on the heap above
+    # them, so that freeing them can return their memory to the system
+    chis = np.empty((4, len(omegas)))
     with np.errstate(all="ignore"):     # failed rows carry nan and inf
         if coeffs is None:
             coeffs, failures = coefficient_rows(columns)
             errors.append(failures)
         table = HarmonicTable(coeffs, probe_detuning_to_delta_p(omegas, columns))
         s, c = np.atleast_1d(coeffs.basis.s, coeffs.basis.c)
-        parts = []   # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
-        for k in (1, 3):
+        # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
+        for k, rows in ((1, chis[:2]), (3, chis[2:])):
             z, solve_failures = table.solve(k, -1)   # order 3 inherits order 1's
             rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
-            parts += [(-(s * part(rho_1p) - c * part(rho_1m))).tolist()
-                      for part in (np.real, np.imag)]
+            for part, out in zip((np.real, np.imag), rows):
+                np.negative(s * part(rho_1p) - c * part(rho_1m), out=out)
     errors.append(solve_failures)
-    return [next((e[i] for e in errors if i in e), Susceptibility(*row))
-            for i, row in enumerate(zip(*parts))]
+    first = {row: exc for found in reversed(errors) for row, exc in found.items()}
+    if first:
+        chis[:, list(first)] = np.nan
+    return chis, first
 
 
 @dataclass(frozen=True)
@@ -127,29 +137,65 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+_RATIOS = {"ratio_31": ("re_chi3", "im_chi1"), "ratio_33": ("re_chi3", "im_chi3")}
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``_safe_ratio`` on arrays: 0/0 is nan, x/0 is +-inf with the sign of x.
+
+    A plain x / -0.0 would take the sign of the zero as well.
+    """
+    with np.errstate(all="ignore"):
+        return np.where(den == 0.0,
+                        np.copysign(np.where(num == 0.0, np.nan, np.inf), num),
+                        num / den)
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """One sweep as columns, one entry per axis value.
+
+    ``axis_values`` and the four chi columns are float arrays.  A failed row
+    holds nan in every chi column, and its error text, "Type: message", is
+    ``errors[row]``.  ``rows`` presents the same data as SweepRow objects,
+    built on each access; the writers and ``find_features`` read the columns.
+    """
     axis_name: str
-    rows: tuple
     params: SystemParams
+    axis_values: np.ndarray
+    re_chi1: np.ndarray
+    im_chi1: np.ndarray
+    re_chi3: np.ndarray
+    im_chi3: np.ndarray
+    errors: dict = field(default_factory=dict)
     fixed_omega: float | None = None
 
-    def axis(self) -> list:
-        return [r.axis_value for r in self.rows]
+    def __len__(self) -> int:
+        return len(self.axis_values)
 
-    def column(self, name: str) -> list:
-        """Per-row value of one CSV column; nan for failed rows."""
-        out = []
-        for r in self.rows:
-            if r.result is None:
-                out.append(math.nan)
-            else:
-                out.append(getattr(r.result, name))
-        return out
+    def axis(self) -> np.ndarray:
+        return self.axis_values
+
+    def column(self, name: str) -> np.ndarray:
+        """One CSV column, by its name in CSV_COLUMNS; nan for failed rows."""
+        if name == "axis":
+            return self.axis_values
+        if name in _RATIOS:
+            return _ratio(*(getattr(self, part) for part in _RATIOS[name]))
+        return getattr(self, name)
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as SweepRow objects, built from the columns on each access."""
+        chis = zip(*(getattr(self, name).tolist() for name in CSV_COLUMNS[1:5]))
+        return tuple(
+            SweepRow(axis_value=x, error=self.errors[i]) if i in self.errors
+            else SweepRow(axis_value=x, result=Susceptibility(*values))
+            for i, (x, values) in enumerate(zip(self.axis_values.tolist(), chis)))
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for r in self.rows if r.error is not None)
+        return len(self.errors)
 
 
 def sweep(params: SystemParams, values, axis_name: str = "omega",
@@ -158,31 +204,34 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
 
     ``values`` is a ProbeGrid or any iterable of axis values.  For a
     parameter axis the probe detuning ``omega`` must be given and is held
-    fixed.  All rows are solved as one batch; each row's result equals
-    ``chi`` at that row's parameters and probe detuning.  A parameter axis
-    is validated and turned into coefficients as ParameterColumns, for all
-    rows at once; a row that breaks a SystemParams rule records the error
-    constructing its SystemParams would raise.
+    fixed; an omega sweep reads omega off its axis and takes none.  All rows
+    are solved as one batch, straight into the columns of the SweepResult;
+    each row's result equals ``chi`` at that row's parameters and probe
+    detuning.  A parameter axis is validated and turned into coefficients as
+    ParameterColumns, for all rows at once; a row that breaks a SystemParams
+    rule records the error constructing its SystemParams would raise.
     """
     if axis_name not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}, got {axis_name!r}")
-    if isinstance(values, ProbeGrid):
-        values = values.omega_values
-    values = [float(v) for v in values]
+    if axis_name == "omega" and omega is not None:
+        raise ValueError(f"an omega sweep takes omega from its axis; "
+                         f"a fixed omega ({omega!r}) conflicts with it")
     if axis_name != "omega" and omega is None:
         raise ValueError("parameter sweeps need a fixed omega")
+    if isinstance(values, ProbeGrid):
+        values = values.omega_values
+    values = np.fromiter(values, dtype=float)
 
     if axis_name == "omega":
         # one coefficient row, shared by every omega: its failure is fatal
-        outcome = _rows(params, values, coeffs=coefficient_set(params))
+        chis, errors = _rows(params, values, coeffs=coefficient_set(params))
     else:
-        outcome = _rows(params, np.full(len(values), omega), axis_name, values)
-    rows = tuple(
-        SweepRow(axis_value=value, error=f"{type(row).__name__}: {row}")
-        if isinstance(row, Exception) else SweepRow(axis_value=value, result=row)
-        for value, row in zip(values, outcome))
-    return SweepResult(axis_name=axis_name, rows=rows, params=params,
-                       fixed_omega=omega)
+        chis, errors = _rows(params, np.full(len(values), omega),
+                             axis_name, values)
+    return SweepResult(
+        axis_name, params, values, *chis, fixed_omega=omega,
+        errors={row: f"{type(exc).__name__}: {exc}"
+                for row, exc in sorted(errors.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +292,15 @@ def find_features(result: SweepResult,
 
     A transparency point is an Im chi3 zero crossing at which the linear
     absorption |Im chi1| stays below ``transparency_fraction`` of the peak
-    |Re chi3| over the sweep.
+    |Re chi3| over the sweep; it must be finite and non-negative.
     """
-    if len(result.rows) < 3:
+    if not (math.isfinite(transparency_fraction) and transparency_fraction >= 0.0):
+        raise ValueError("transparency_fraction must be finite and non-negative, "
+                         f"got {transparency_fraction!r}")
+    if len(result) < 3:
         raise ValueError("need at least 3 rows to detect features")
-    xs = result.axis()
-    im3 = result.column("im_chi3")
-    re3 = result.column("re_chi3")
-    im1 = result.column("im_chi1")
+    xs, im3, re3, im1 = (result.column(name).tolist()
+                         for name in ("axis", "im_chi3", "re_chi3", "im_chi1"))
 
     zeros = tuple(_zero_crossings(xs, im3))
     extrema = tuple(_local_extrema(xs, re3))
@@ -284,28 +334,29 @@ def _bracket(xs, x0):
 # output files
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return ""
-    return f"{value:.8e}"
+# one row of every CSV column, "%.8e" each: the bits of f"{v:.8e}"
+_CSV_ROW = ",".join(["%.8e"] * len(CSV_COLUMNS)) + "\r\n"
 
 
-_NO_VALUES = (None,) * (len(CSV_COLUMNS) - 1)     # the fields of a failed row
+def _table(result: SweepResult) -> np.ndarray:
+    """Every CSV column of every row, shape (rows, len(CSV_COLUMNS))."""
+    return np.column_stack([result.column(name) for name in CSV_COLUMNS])
 
 
 def write_csv(result: SweepResult, path_or_file) -> None:
-    """One row per axis value, failed rows with empty data fields.
+    """One row per axis value, with every non-finite field empty.
 
-    The bytes are those of csv.writer: comma separated, no quoting (no field
-    needs it) and "\\r\\n" line ends.
+    Empty fields are all data fields of a failed row, an undefined ratio and
+    a non-finite axis value.  The bytes are those of csv.writer: comma
+    separated, no quoting (no field needs it) and "\\r\\n" line ends.  All
+    rows fill one ``%`` template; a non-finite field prints as nan, inf or
+    -inf, letters that no finite field contains, so those are then blanked.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for row in result.rows:
-        r = row.result
-        values = _NO_VALUES if r is None else (
-            r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3, r.ratio_31, r.ratio_33)
-        lines.append(",".join(map(_fmt, (row.axis_value, *values))))
-    text = "\r\n".join(lines) + "\r\n"
+    table = _table(result)
+    body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+    if not np.isfinite(table).all():
+        body = body.replace("-inf", "").replace("inf", "").replace("nan", "")
+    text = ",".join(CSV_COLUMNS) + "\r\n" + body
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -322,13 +373,13 @@ def metadata(params: SystemParams, **extra) -> dict:
 
 def result_metadata(result: SweepResult, extra: dict | None = None) -> dict:
     return metadata(result.params, axis=result.axis_name,
-                    fixed_omega=result.fixed_omega, n_rows=len(result.rows),
+                    fixed_omega=result.fixed_omega, n_rows=len(result),
                     n_failed=result.n_failed, **(extra or {}))
 
 
 def _json_row(keys) -> str:
-    """Format string of one row object, as json.dump lays it out at depth 2."""
-    return "    {{\n" + ",\n".join(f'      "{k}": {{}}' for k in keys) + "\n    }}"
+    """``%`` template of one row object, as json.dump lays it out at depth 2."""
+    return "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
 
 
 _JSON_ROW = _json_row(CSV_COLUMNS)
@@ -342,22 +393,34 @@ def _json(value) -> str:
     return json.dumps(value)
 
 
+def _json_row_by_field(result: SweepResult, row: int, values: list) -> str:
+    """A row that is not all finite, one field at a time.
+
+    A failed row writes its axis value and error; otherwise a non-finite
+    ratio is null.
+    """
+    if row in result.errors:
+        return _JSON_FAILED_ROW % (_json(values[0]), _json(result.errors[row]))
+    *data, ratio_31, ratio_33 = values
+    ratios = [x if math.isfinite(x) else None for x in (ratio_31, ratio_33)]
+    return _JSON_ROW % tuple(map(_json, (*data, *ratios)))
+
+
 def write_json(result: SweepResult, path, extra_metadata: dict | None = None) -> None:
     """Metadata plus one object per row, in the bytes of json.dump(indent=2).
 
     Non-finite ratios are written as null.  The metadata goes through
-    json.dumps; every row is filled into one format string.
+    json.dumps.  The rows whose fields are all finite fill one ``%`` template
+    (``%s`` of a float is its repr, which json.dump writes); the others, a
+    failed row, a null ratio or a non-finite axis value, are written field
+    by field.
     """
-    rows = []
-    for row in result.rows:
-        r = row.result
-        if r is None:
-            rows.append(_JSON_FAILED_ROW.format(_json(row.axis_value),
-                                                _json(row.error)))
-            continue
-        ratios = [x if math.isfinite(x) else None for x in (r.ratio_31, r.ratio_33)]
-        rows.append(_JSON_ROW.format(*map(_json, (
-            row.axis_value, r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3, *ratios))))
+    table = _table(result)
+    finite = np.isfinite(table).all(axis=1)
+    values = tuple(table[finite].ravel().tolist())
+    rows = ((_JSON_ROW + "\0") * int(finite.sum()) % values).split("\0")[:-1]
+    for row in np.flatnonzero(~finite).tolist():    # ascending: each lands on its row
+        rows.insert(row, _json_row_by_field(result, row, table[row].tolist()))
     meta = json.dumps(result_metadata(result, extra_metadata), indent=2)
     body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     with open(path, "w") as f:

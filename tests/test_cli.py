@@ -246,6 +246,22 @@ class TestErrors:
         assert json.loads(captured.err.splitlines()[-1]) == {"error": {
             "type": "ValueError", "message": "probe grid values must be finite"}}
 
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--axis", "omega", "--omega", "5", "--format", "json"],
+         "fixed omega"),
+        (["features", "--transparency-frac", "nan"], "transparency_fraction"),
+    ], ids=["omega-on-omega-axis", "nan-transparency-fraction"])
+    def test_conflicting_or_invalid_value_is_an_error(
+            self, config_file, tmp_path, capsys, argv, named):
+        # neither exits 0 with the value written into the metadata
+        out = tmp_path / "out.json"
+        rc = main(argv + ["--config", config_file, "--out", str(out),
+                          "--start", "200", "--stop", "200.2", "--step", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not out.exists()
+        error = json.loads(captured.err.splitlines()[-1])["error"]
+        assert error["type"] == "ValueError" and named in error["message"]
+
     def test_json_sweep_without_out_fails_before_sweeping(
             self, config_file, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vkerr import (DegenerateDressing, ProbeGrid, SingularKernel,
                    SingularSteadyState, SweepResult, SweepRow, Susceptibility,
@@ -124,6 +126,21 @@ class TestSweep:
         for row in result.rows:
             assert row.result == chi(sideband_params, row.axis_value)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 4001])
+    def test_omega_sweep_rows_independent_of_grid_size(self, sideband_params,
+                                                       size):
+        # the shared n = 0 kernel is factored once with every row as a
+        # right-hand side; each row still equals the one-row chi bitwise
+        grid = ProbeGrid(np.linspace(199.0, 201.0, size))
+        result = sweep(sideband_params, grid)
+        assert len(result) == size and result.n_failed == 0
+        rows = range(size) if size < 100 else range(0, size, 97)
+        for i in rows:
+            point = chi(sideband_params, grid.omega_values[i])
+            assert (result.re_chi1[i], result.im_chi1[i], result.re_chi3[i],
+                    result.im_chi3[i]) == (point.re_chi1, point.im_chi1,
+                                           point.re_chi3, point.im_chi3)
+
     @pytest.mark.parametrize("axis_name", list(PARAMETER_AXES))
     def test_parameter_sweep_matches_pointwise(self, sideband_params,
                                                axis_name):
@@ -189,6 +206,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(sideband_params, [1.0, 2.0], axis_name="g1")
 
+    def test_omega_sweep_rejects_fixed_omega(self, sideband_params):
+        # an omega sweep never reads a fixed omega, so one is a conflict
+        with pytest.raises(ValueError, match="fixed omega"):
+            sweep(sideband_params, [200.0, 200.1], omega=5.0)
+
     def test_unknown_axis_rejected(self, sideband_params):
         with pytest.raises(ValueError):
             sweep(sideband_params, [1.0], axis_name="horsepower", omega=200.0)
@@ -240,6 +262,19 @@ def csv_text(result):
     return buf.getvalue()
 
 
+def result_of(rows, **fields):
+    """A SweepResult whose columns hold ``rows``, a sequence of SweepRow."""
+    chis = [(math.nan,) * 4 if r.result is None else
+            (r.result.re_chi1, r.result.im_chi1, r.result.re_chi3,
+             r.result.im_chi3) for r in rows]
+    columns = np.array(chis, dtype=float).reshape(-1, 4).T
+    return SweepResult(
+        axis_values=np.array([r.axis_value for r in rows], dtype=float),
+        **dict(zip(("re_chi1", "im_chi1", "re_chi3", "im_chi3"), columns)),
+        errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
+        **fields)
+
+
 def synthetic_result(xs, im3, re3=None, im1=None):
     rows = []
     for i, x in enumerate(xs):
@@ -248,8 +283,7 @@ def synthetic_result(xs, im3, re3=None, im1=None):
             im_chi1=0.0 if im1 is None else im1[i],
             re_chi3=1.0 if re3 is None else re3[i],
             im_chi3=im3[i])))
-    return SweepResult(axis_name="omega", rows=tuple(rows),
-                       params=quiet_params())
+    return result_of(rows, axis_name="omega", params=quiet_params())
 
 
 class TestFindFeatures:
@@ -292,6 +326,13 @@ class TestFindFeatures:
         assert report.empty
         assert report.im_chi3_zeros == ()
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -0.01])
+    def test_rejects_bad_transparency_fraction(self, fraction):
+        xs = [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="transparency_fraction"):
+            find_features(synthetic_result(xs, [1.0, -1.0, 1.0]),
+                          transparency_fraction=fraction)
+
     def test_needs_three_rows(self):
         with pytest.raises(ValueError):
             find_features(synthetic_result([0.0, 1.0], [1.0, -1.0]))
@@ -325,7 +366,7 @@ class TestWriters:
         # \r\n line ends, empty fields for failed rows and undefined ratios
         swept = sweep(quiet_params(delta=0.0), [0.0, 50.0, math.nan, 200.0],
                       axis_name="omega_L_rabi", omega=200.0)
-        synthetic = SweepResult(axis_name="g1", params=sideband_params, rows=(
+        synthetic = result_of(axis_name="g1", params=sideband_params, rows=(
             # Im chi1 = 0 leaves ratio_31 infinite, and 0/0 leaves it nan
             SweepRow(axis_value=-0.0,
                      result=Susceptibility(-0.0, 0.0, 1e-300, -2.5)),
@@ -333,7 +374,7 @@ class TestWriters:
             SweepRow(axis_value=1e300, result=Susceptibility(
                 0.1, 0.2, -4.790960740961802, 5e-324)),
         ))
-        empty = SweepResult(axis_name="omega", rows=(), params=sideband_params)
+        empty = result_of(axis_name="omega", rows=(), params=sideband_params)
         for result in (swept, synthetic, empty):
             out = tmp_path / "rows.csv"
             write_csv(result, out)
@@ -357,8 +398,8 @@ class TestWriters:
         # the direct row formatter writes what json.dump(indent=2) writes
         swept = sweep(sideband_params, [50.0, -1.0, 150.0], axis_name="kappa",
                       omega=200.25)
-        synthetic = SweepResult(axis_name="g1", params=sideband_params,
-                                fixed_omega=200.25, rows=(
+        synthetic = result_of(axis_name="g1", params=sideband_params,
+                              fixed_omega=200.25, rows=(
             # Im chi1 = 0 leaves ratio_31 undefined: null
             SweepRow(axis_value=-0.0, result=Susceptibility(
                 -0.0, 0.0, 1e-300, -2.5)),
@@ -368,7 +409,7 @@ class TestWriters:
             SweepRow(axis_value=1e300, result=Susceptibility(
                 0.1, 0.2, -4.790960740961802, 5e-324)),
         ))
-        empty = SweepResult(axis_name="omega", rows=(), params=sideband_params)
+        empty = result_of(axis_name="omega", rows=(), params=sideband_params)
         for result, extra in ((swept, None), (synthetic, {"preset": "fig4b",
                                                           "note": "\u00e9"}),
                               (empty, {})):
@@ -388,3 +429,39 @@ class TestWriters:
         assert payload["metadata"]["params"]["g2"] == 15.0
         assert payload["metadata"]["axis"] == "omega"
         assert len(payload["rows"]) == 2
+
+
+# doubles a sweep column can hold: any finite value (zeros, subnormals and
+# extremes included), with the zeros that make a ratio undefined drawn often
+EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e-300, -1e-300, 1e300, -1.7976931348623157e308])
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE)
+AXIS = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+CLEAN_ROW = st.builds(
+    lambda x, chis: SweepRow(axis_value=x, result=Susceptibility(*chis)),
+    AXIS, st.tuples(FINITE, FINITE, FINITE, FINITE))
+# error texts with what json.dumps escapes: quotes, backslashes, control
+# characters and non-ASCII, without generating from all of Unicode
+FAILED_ROW = st.builds(lambda x, text: SweepRow(axis_value=x, error=text),
+                       AXIS, st.text('ab :"\\\n\t\x00\u00e9\u03ba\U0001f600',
+                                     max_size=20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.one_of(CLEAN_ROW, CLEAN_ROW, FAILED_ROW), max_size=8))
+def test_block_writers_equal_per_value_references(tmp_path_factory, rows):
+    # the block writers against the per-value references above: f"{v:.8e}"
+    # through csv.writer, and float.__repr__ through json.dump; the ratios
+    # of the references come from Susceptibility, one row at a time
+    result = result_of(rows, axis_name="g1", params=quiet_params(),
+                       fixed_omega=200.25)
+    for name in ("ratio_31", "ratio_33"):   # the signed inf the writers blank
+        np.testing.assert_array_equal(result.column(name), [
+            math.nan if r.result is None else getattr(r.result, name)
+            for r in rows])
+    buf = io.StringIO()
+    write_csv(result, buf)
+    assert buf.getvalue() == csv_text(result)
+    out = tmp_path_factory.getbasetemp() / "block_writers.json"
+    write_json(result, out)
+    assert out.read_text() == json.dumps(json_payload(result), indent=2) + "\n"
