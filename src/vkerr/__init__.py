@@ -10,6 +10,17 @@ expansion.  Two brute-force oracles (the full atom+cavity Lindblad model
 and direct time integration of the reduced equations) back every step.
 """
 
+import os
+
+# Before numpy loads: an idle OpenBLAS worker spins 2**28 cycles before it
+# sleeps, after start-up and after every threaded call, about a third of a
+# short vkerr process's CPU on two cores (0.13 s after one 729x729 solve,
+# 0.0001 s with the minimum spin of 2**4).  The thread count, and so the
+# BLAS partition and the output bits, stay as they are.  The user's own
+# setting wins.
+if not {"OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT"} & os.environ.keys():
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+
 from .dressed import (CavityResponse, CoefficientSet, DegenerateDressing,
                       DressedBasis, InterferenceTerms, RateSet,
                       cavity_response, coefficient_rows, coefficient_set,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -68,8 +69,19 @@ def _add_grid(p, axis=True):
         p.add_argument(f"--{name}", type=float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--start -4.4e-05`` as a value: argparse's own negative-number
+    pattern has no exponent and takes such a value for an option flag.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vkerr",
         description="linear and Kerr susceptibilities of a driven V-type "
                     "atom coupled to a damped cavity")

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -109,6 +112,21 @@ _PARAMS = ["gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
 _META = ["tool_version", "params", "gamma12"]
 _SWEEP_META = _META + ["axis", "fixed_omega", "n_rows", "n_failed"]
 _GRID = ["--start", "200.0", "--stop", "200.2", "--step", "0.1"]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["sweep", "--stop", "0.01", "--step", "0.005"], "--start", "-4.4e-05"),
+    (["point"], "--omega", "-2.5E+01"),
+    (["point", "--omega", "200.1"], "--gamma12", "-1e-03"),
+], ids=["start", "omega", "gamma12"])
+def test_negative_exponent_value(config_file, capsys, argv, option, value):
+    # argparse's own negative-number pattern has no exponent; the value
+    # after a space must read as it does after "="
+    spaced = main(argv + ["--config", config_file, option, value])
+    spaced_out = capsys.readouterr().out
+    joined = main(argv + ["--config", config_file, f"{option}={value}"])
+    assert spaced == joined == 0
+    assert spaced_out == capsys.readouterr().out != ""
 
 
 class TestKeyOrder:
@@ -304,3 +322,46 @@ def test_time_domain_oracle_loads_no_scipy():
         "import vkerr; vkerr.time_domain_reference("
         "vkerr.coefficient_set(vkerr.SystemParams(g1=1.0, g2=3.0)), "
         "omega_p=1e-3, delta_p=2.0, n_samples=32)") == []
+
+
+_SPIN_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+
+
+def _child_env(**blas):
+    # conftest's `import vkerr` has put the variable into this process too
+    env = {k: v for k, v in os.environ.items() if k not in _SPIN_VARS}
+    return dict(env, **blas)
+
+
+def _numpy_uses_openblas() -> bool:
+    import numpy
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        numpy.show_config()
+    return "openblas" in text.getvalue().lower()
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(),
+                    reason="numpy is not linked against OpenBLAS")
+def test_package_import_caps_the_blas_spin():
+    # without the cap each idle OpenBLAS worker spins for 2**28 cycles after
+    # a threaded call: ~0.13 s of CPU over this sleep on two cores
+    probe = ("import time, vkerr, numpy as np; "
+             "a = np.random.default_rng(0).standard_normal((729, 1458)); "
+             "a = a[:, :729] + 1j * a[:, 729:]; np.linalg.solve(a, a); "
+             "t = time.process_time(); time.sleep(0.3); "
+             "print(time.process_time() - t)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 0.01
+
+
+@pytest.mark.parametrize("blas", [
+    {"OPENBLAS_THREAD_TIMEOUT": "28"}, {"GOTO_THREAD_TIMEOUT": "28"}],
+    ids=["OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT"])
+def test_users_spin_setting_wins(blas):
+    probe = ("import os; before = dict(os.environ); import vkerr; "
+             "print(dict(os.environ) == before)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(**blas),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "True\n"
