@@ -15,6 +15,10 @@ so each order solves (i n d - A0) z_m^n = A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1}
 plus the constants times the trace of order (0, 0).  Conjugate elements
 are independent unknowns: hermiticity of the solution is a check.
 
+A0 never couples (mm, 11, m1, 1m), (1p, mp) and (p1, pm), so each kernel
+is one 4x4 block, solved by LAPACK, and two 2x2 pairs, solved in closed
+form; A+ and A- are applied over the 24 entries reduced_operators writes.
+
 Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 'm1' = rho_{-1}, '1m' = rho_{1-}, '1p' = rho_{1+}, 'p1' = rho_{+1},
 'mp' = rho_{-+}, 'pm' = rho_{+-}, with rho_ab = <a|rho|b>.
@@ -23,11 +27,12 @@ Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dressed import CoefficientSet
+from .dressed import (CoefficientSet, DressedBasis, InterferenceTerms,
+                      RateSet)
 
 __all__ = [
     "ELEMENTS",
@@ -52,7 +57,6 @@ CONJUGATE_ELEMENT = {
 STATE = ("mm", "11", "m1", "1m", "1p", "p1", "mp", "pm")
 _INDEX = {name: i for i, name in enumerate(STATE)}
 _DIM = TRACE = len(STATE)     # column TRACE of an operator holds its constant
-_EYE = np.eye(_DIM)
 
 _REL_TOL = 1e-12
 
@@ -129,15 +133,46 @@ def reduced_operators(coeffs: CoefficientSet) -> np.ndarray:
     return ops
 
 
-def _singular_rows(kernels: np.ndarray) -> np.ndarray:
-    """Rows with |det| below _REL_TOL times the product of the row norms.
+def _written_entries() -> np.ndarray:
+    """The entries of a (3, 8, 9) operator stack that reduced_operators writes.
 
-    By Hadamard's bound the test is scale free; non-finite rows count too.
-    Called under np.errstate(all="ignore"): a zero row norm logs to -inf.
+    Read off the code, not off values: one row of NaN coefficients turns
+    every entry it writes into NaN and leaves every other entry 0.
     """
-    _, logdet = np.linalg.slogdet(kernels)
-    lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
-    return ~(logdet > lognorms + math.log(_REL_TOL))
+    nan = np.full(1, np.nan)
+    basis, interference, rates = (cls(*[nan] * len(fields(cls))) for cls in
+                                  (DressedBasis, InterferenceTerms, RateSet))
+    with np.errstate(all="ignore"):
+        return np.isnan(reduced_operators(
+            CoefficientSet(None, nan, basis, None, interference, rates))[0])
+
+
+# The kernel i n delta_p - A0 splits into blocks that A0 never couples: the
+# 4x4 block of (mm, 11, m1, 1m) and the pairs (1p, mp) and (p1, pm).  In
+# STATE order the pairs interleave, so _FIRST holds the first member of both
+# pairs (1p, p1) and _SECOND the second (mp, pm): one (rows, 2) view each.
+_BLOCK, _FIRST, _SECOND = slice(0, 4), slice(4, 6), slice(6, 8)
+_EYE4 = np.eye(4)
+_WRITTEN = _written_entries()
+_SPLIT = np.zeros((_DIM, _DIM), dtype=bool)     # where the blocks may write
+_SPLIT[_BLOCK, _BLOCK] = True
+_SPLIT[4:, 4:] = np.tile(np.eye(2, dtype=bool), (2, 2))
+if (_WRITTEN[0, :, :TRACE] & ~_SPLIT).any():
+    raise ImportError("A0 couples the blocks that the harmonic solve splits")
+# the pair entries [[a, q], [r, d]] of A0, as flat indices into one row of
+# the operator stack: shape (4, 2), one column per pair
+_PAIR = np.ravel_multi_index((0, [[4, 5], [4, 5], [6, 7], [6, 7]],
+                              [[4, 5], [6, 7], [4, 5], [6, 7]]), _WRITTEN.shape)
+# the nonzeros of [A+ | A-] by output row: flat indices into one row of the
+# operator stack, their sources in concat(lower, above), and the start of
+# each output row's terms
+_ROW, _SIGN, _COL = np.nonzero(_WRITTEN[1:].transpose(1, 0, 2))
+_COUPLING = np.ravel_multi_index((_SIGN + 1, _ROW, _COL), _WRITTEN.shape)
+_SOURCE = _SIGN * (TRACE + 1) + _COL
+_SEGMENTS = np.searchsorted(_ROW, np.arange(_DIM))
+if not _WRITTEN[1:].any(axis=(0, 2)).all():
+    # np.add.reduceat gives the next term, not 0, for an empty segment
+    raise ImportError("a reduced equation has no probe coupling")
 
 
 class HarmonicTable:
@@ -146,20 +181,35 @@ class HarmonicTable:
     ``coeffs`` is one CoefficientSet.  With numbers (``coefficient_set``) or
     one-row arrays it is shared by every probe detuning in ``delta_p``; with
     arrays of one row per detuning (``coefficient_rows``) each row has its
-    own.  A scalar ``delta_p`` makes a one-row table.  Each order is solved
-    for all rows with one stacked 8x8 solve; a kernel that every row shares
-    is factored once.  A row whose kernel is singular,
-    or whose solution is not finite, records its error and the other rows are
-    unaffected: every row is bitwise independent of the batch it sits in.
+    own.  A scalar ``delta_p`` makes a one-row table.
+
+    Each order is solved on the block structure of the kernel i n d - A0:
+    one stacked 4x4 solve of (mm, 11, m1, 1m) (a kernel that every row
+    shares is factored once, with the rows as right-hand-side columns) and
+    the pairs (1p, mp) and (p1, pm) by Cramer's rule.  The sources
+    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are summed over the 24 entries that
+    reduced_operators writes into A+ and A-.  Only those entries, the blocks
+    of A0 and c0 are kept from the operators.  A row whose kernel is
+    singular, or whose solution is not finite, records its error and the
+    other rows are unaffected: every row is bitwise independent of the batch
+    it sits in.
     """
 
     def __init__(self, coeffs: CoefficientSet, delta_p):
         self.delta_p = np.atleast_1d(np.asarray(delta_p, dtype=float))
-        self._ops = reduced_operators(coeffs)
-        if self.delta_p.ndim != 1 or len(self._ops) not in (1, len(self.delta_p)):
+        ops = reduced_operators(coeffs)
+        if self.delta_p.ndim != 1 or len(ops) not in (1, len(self.delta_p)):
             raise ValueError("need one coefficient row, or one per delta_p")
+        flat = ops.reshape(len(ops), -1)
+        # the parts of the kernel -A0 and of the sources that no order changes
+        self._block = -ops[:, 0, _BLOCK, _BLOCK]
+        self._pair = np.moveaxis(-flat[:, _PAIR], 1, 0)   # a, q, r, d: (rows, 2)
+        _, q, r, _ = self._pair
+        self._qr, self._q2, self._r2 = q * r, _abs2(q), _abs2(r)
+        self._c0 = ops[:, 0, :, TRACE].copy()
+        self._coupling = flat[:, _COUPLING]
         self._orders: dict = {}
-        self._singular: dict = {}
+        self._kernels: dict = {}
         # every order outside the reachable cone, shared and read-only
         self._zero = np.zeros((len(self.delta_p), TRACE + 1), dtype=complex)
         self._zero.flags.writeable = False
@@ -197,41 +247,69 @@ class HarmonicTable:
                             self._orders[k, j] = self._solve_order(k, j)
         return self._orders[m, n]
 
+    def _kernel(self, n: int) -> tuple:
+        """(block, a, d, det, singular): i n delta_p - A0, built once per n.
+
+        ``block`` is the 4x4 block, ``a`` and ``d`` the diagonals of the two
+        pairs and ``det`` their determinants, each with one row per table
+        row, or one shared row at n = 0 of shared coefficients.
+        ``singular`` flags the rows whose |det| is below _REL_TOL times the
+        product of the row norms: by Hadamard's bound a scale-free test,
+        true on non-finite rows too.  Every row of the kernel lies in one
+        block, so its determinant and row norms are those of the blocks.
+        The singular rows of ``block`` are identity stand-ins, which keep
+        the stacked solve regular.
+        """
+        if n in self._kernels:
+            return self._kernels[n]
+        block, (a, _, _, d) = self._block, self._pair
+        if n != 0:
+            shift = 1j * n * self.delta_p
+            block = block + _EYE4 * shift[:, None, None]
+            a, d = a + shift[:, None], d + shift[:, None]
+        det = a * d - self._qr
+        # a zero row norm logs to -inf (the caller ignores the warning)
+        _, logdet = np.linalg.slogdet(block)
+        logdet = logdet + np.log(np.abs(det)).sum(axis=-1)
+        norms = np.concatenate((_abs2(block).sum(axis=-1), _abs2(a) + self._q2,
+                                self._r2 + _abs2(d)), axis=-1)
+        lognorms = 0.5 * np.log(norms).sum(axis=-1)
+        singular = ~(logdet > lognorms + math.log(_REL_TOL))
+        if singular.any():
+            block = np.where(singular[:, None, None], _EYE4, block)
+        self._kernels[n] = block, a, d, det, singular
+        return self._kernels[n]
+
     def _solve_order(self, m: int, n: int) -> tuple:
         rows = len(self.delta_p)
         if m == 0:
             # z_0^0 depends on the coefficients only: one solve per set
-            rhs, failures = self._ops[:, 0, :, TRACE], {}
+            rhs, failures = self._c0, {}
         else:
             (lower, lower_failed), (above, above_failed) = (
                 self.solve(m - 1, n - 1), self.solve(m - 1, n + 1))
-            # row-wise A @ z as product and sum: a BLAS matrix product would
-            # change the last bits of a row with the batch size
-            rhs = ((self._ops[:, 1] * lower[:, None, :]).sum(axis=-1)
-                   + (self._ops[:, 2] * above[:, None, :]).sum(axis=-1))
+            # A+ lower + A- above over the written entries, summed per row: a
+            # BLAS matrix product would change a row's last bits with the batch
+            terms = self._coupling * np.concatenate((lower, above), axis=1)[:, _SOURCE]
+            rhs = np.add.reduceat(terms, _SEGMENTS, axis=1)
             failures = {**above_failed, **lower_failed}
-        # i n delta_p - A0 per row; at n = 0 one per coefficient set
-        kernels = -self._ops[:, 0, :, :TRACE]
-        if n != 0:
-            kernels = kernels + _EYE * (1j * n * self.delta_p)[:, None, None]
-        if n not in self._singular:
-            self._singular[n] = _singular_rows(kernels)
-        singular = self._singular[n]
-        any_singular = singular.any()
-        if any_singular:
-            # identity stand-ins keep the stacked solve regular
-            kernels = np.where(singular[:, None, None], _EYE, kernels)
+        block, a, d, det, singular = self._kernel(n)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)
-        if len(kernels) == 1:
+        if len(block) == 1:
             # one kernel for every row (n = 0 of shared coefficients): one
             # factorization with the rows as right-hand-side columns; each
             # column comes out in the bits of a one-row solve
-            z[:, :_DIM] = np.linalg.solve(kernels[0], rhs.T).T
+            z[:, _BLOCK] = np.linalg.solve(block[0], rhs[:, _BLOCK].T).T
         else:
-            z[:, :_DIM] = np.linalg.solve(kernels, rhs[..., None])[..., 0]
+            z[:, _BLOCK] = np.linalg.solve(block, rhs[:, _BLOCK, None])[..., 0]
+        # both pairs at once by Cramer's rule
+        _, q, r, _ = self._pair
+        first, second = rhs[:, _FIRST], rhs[:, _SECOND]
+        np.divide(d * first - q * second, det, out=z[:, _FIRST])
+        np.divide(a * second - r * first, det, out=z[:, _SECOND])
         z[:, TRACE] = 1.0 if m == 0 else 0.0
         # a regular kernel can still over- or underflow into inf or nan
-        if any_singular or not np.isfinite(z).all():
+        if singular.any() or not np.isfinite(z).all():
             exc = SingularSteadyState if m == 0 else SingularKernel
             for broken, reason in ((singular, "kernel i n delta_p - A0 singular"),
                                    (~np.isfinite(z).all(axis=-1),
@@ -240,6 +318,11 @@ class HarmonicTable:
                     failures.setdefault(int(row), exc(
                         f"{reason} at (m={m}, n={n})"))
         return np.broadcast_to(z, (rows, TRACE + 1)), failures
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 as x.real^2 + x.imag^2, the sum numpy's norm takes."""
+    return x.real ** 2 + x.imag ** 2
 
 
 def zeroth_order_steady_state(coeffs: CoefficientSet) -> SteadyState0:

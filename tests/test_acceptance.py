@@ -8,13 +8,13 @@ import time
 import numpy as np
 
 from vkerr import (FockTruncation, HarmonicTable, ProbeGrid, chi,
-                   coefficient_set, converged_steady_state,
+                   coefficient_rows, coefficient_set, converged_steady_state,
                    lindblad_steady_state, sweep, time_domain_reference,
                    zeroth_order_steady_state)
 
 from conftest import record_criterion
-from test_dressed import random_params
-from test_floquet import assert_hermitian_table, assert_trace_closure
+from test_dressed import columns_of, random_params
+from test_floquet import assert_hermitian_rows
 
 ANALYTIC_REF = {"rho_11": 0.2072, "rho_pp": 0.2409, "rho_mm": 0.5520,
                 "rho_m1": -0.0086 - 0.1749j}
@@ -202,13 +202,16 @@ def test_criterion_8_robust_to_faster_cavity(sideband_params):
 
 def test_criterion_9_property_suites(sideband_params):
     rng = np.random.default_rng(20240817)
-    # hermiticity and trace closure across the valid parameter space
+    # hermiticity and trace closure across the valid parameter space: each
+    # draw is one row of a single table, whose rows are bitwise those of a
+    # table per draw
+    draws, dps = [], []
     for _ in range(1000):
-        params = random_params(rng)
-        dp = rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])
-        table = HarmonicTable(coefficient_set(params), dp)
-        assert_hermitian_table(table)
-        assert_trace_closure(table)
+        draws.append(random_params(rng))
+        dps.append(rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0]))
+    rows, failures = coefficient_rows(columns_of(draws))
+    assert not failures
+    assert_hermitian_rows(HarmonicTable(rows, dps))
 
     # decoupling equivalence at the published parameter magnitudes; the
     # 1e-6 bound applies off the narrow resonance cluster, where the

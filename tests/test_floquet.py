@@ -1,13 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from vkerr import (CoefficientSet, HarmonicTable, ParameterColumns,
-                   SingularKernel, chi, coefficient_rows, coefficient_set,
-                   zeroth_order_steady_state)
-from vkerr.floquet import (CONJUGATE_ELEMENT, ELEMENTS, POPULATIONS,
-                           reduced_operators)
+                   SingularKernel, SingularSteadyState, chi, coefficient_rows,
+                   coefficient_set, zeroth_order_steady_state)
+from vkerr.floquet import (_REL_TOL, _WRITTEN, CONJUGATE_ELEMENT, ELEMENTS,
+                           POPULATIONS, STATE, TRACE, reduced_operators)
 
 from test_dressed import columns_of, quiet_params, random_params
 
@@ -64,22 +65,29 @@ def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
     return rhs
 
 
-def assert_hermitian_table(table, m_max=3):
-    for el in ELEMENTS:
-        for m in range(m_max + 1):
-            for n in range(-(m + 1), m + 2):
-                a = table.get(el, m, n)
-                b = table.get(CONJUGATE_ELEMENT[el], m, -n)
-                scale = max(abs(a), abs(b), 1.0)
-                assert abs(a - b.conjugate()) <= 1e-10 * scale, (el, m, n)
+def element_rows(table, element, m, n):
+    """One element at order (m, n) on every row, rho_{++} from the trace."""
+    z, failures = table.solve(m, n)
+    assert not failures, failures
+    if element == "pp":
+        return z[:, TRACE] - z[:, STATE.index("mm")] - z[:, STATE.index("11")]
+    return z[:, STATE.index(element)]
 
 
-def assert_trace_closure(table, m_max=3):
+def assert_hermitian_rows(table, m_max=3):
+    """Hermiticity and trace closure of every order m <= m_max, on every row."""
     for m in range(m_max + 1):
         for n in range(-(m + 1), m + 2):
-            total = sum(table.get(el, m, n) for el in POPULATIONS)
+            for el in ELEMENTS:
+                a = element_rows(table, el, m, n)
+                b = element_rows(table, CONJUGATE_ELEMENT[el], m, -n)
+                scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
+                bad = ~(abs(a - b.conj()) <= 1e-10 * scale)
+                assert not bad.any(), (el, m, n, np.flatnonzero(bad))
+            total = sum(element_rows(table, el, m, n) for el in POPULATIONS)
             expect = 1.0 if (m == 0 and n == 0) else 0.0
-            assert abs(total - expect) <= 1e-12
+            bad = ~(abs(total - expect) <= 1e-12)
+            assert not bad.any(), (m, n, np.flatnonzero(bad))
 
 
 class TestZerothOrder:
@@ -134,8 +142,7 @@ class TestHarmonicStructure:
         cs = coefficient_set(sideband_params)
         for dp in (0.25, -0.7, 3.1):
             table = HarmonicTable(cs, dp)
-            assert_hermitian_table(table)
-            assert_trace_closure(table)
+            assert_hermitian_rows(table)
 
 
 class TestGoldenHarmonics:
@@ -239,3 +246,215 @@ class TestIndependentConjugateRoutes:
         b = table.get("m1", 3, 1).conjugate()
         assert a is not b
         assert a == pytest.approx(b, rel=1e-10)
+
+
+# the blocks of the probe-free equations, written out here rather than read
+# from floquet: (mm, 11, m1, 1m), (1p, mp) and (p1, pm)
+BLOCKS = (("mm", "11", "m1", "1m"), ("1p", "mp"), ("p1", "pm"))
+BLOCK_OF = {el: k for k, block in enumerate(BLOCKS) for el in block}
+
+
+def structure_draws(rng, count):
+    """Draws of random_params, every other one with theta instead of the override."""
+    draws = []
+    for k in range(count):
+        params = random_params(rng)
+        draws.append(params.replace(theta=rng.uniform(0.0, math.pi)) if k % 2
+                     else params)
+    return draws
+
+
+def dense_orders(coeffs, delta_p, m_max=3):
+    """Every order (m, n) with m <= m_max from dense 8x8 solves and products."""
+    delta_p = np.atleast_1d(np.asarray(delta_p, dtype=float))
+    ops = reduced_operators(coeffs)
+    ops = np.broadcast_to(ops, (len(delta_p),) + ops.shape[1:])
+    a0, a_plus, a_minus = ops[:, 0, :, :TRACE], ops[:, 1], ops[:, 2]
+    zero = np.zeros((len(delta_p), TRACE + 1), dtype=complex)
+    orders, kernels = {}, {}
+    for m in range(m_max + 1):
+        for n in range(-m, m + 1, 2):
+            kernels[n] = 1j * n * delta_p[:, None, None] * np.eye(TRACE) - a0
+            if m == 0:
+                rhs = ops[:, 0, :, TRACE]
+            else:
+                lower = orders.get((m - 1, n - 1), zero)
+                above = orders.get((m - 1, n + 1), zero)
+                rhs = (a_plus @ lower[..., None] + a_minus @ above[..., None])[..., 0]
+            z = zero.copy()
+            z[:, :TRACE] = np.linalg.solve(kernels[n], rhs[..., None])[..., 0]
+            z[:, TRACE] = 1.0 if m == 0 else 0.0
+            orders[m, n] = z
+    return orders, kernels
+
+
+def dense_singular(kernels):
+    """The singularity test on the whole 8x8 kernel, before the block split."""
+    _, logdet = np.linalg.slogdet(kernels)
+    lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
+    return ~(logdet > lognorms + math.log(_REL_TOL))
+
+
+def replaced(coeffs, **fields):
+    """``coeffs`` with coefficient fields replaced, whichever block holds them."""
+    return dataclasses.replace(coeffs, **{
+        name: dataclasses.replace(block, **{
+            k: v for k, v in fields.items() if hasattr(block, k)})
+        for name, block in (("basis", coeffs.basis),
+                            ("interference", coeffs.interference),
+                            ("rates", coeffs.rates))})
+
+
+class TestBlockStructure:
+    def test_reduced_rhs_jacobian_is_block_diagonal(self):
+        # the probe-free equations are affine, so their Jacobian is exact
+        # from unit states: no element drives an element of another block,
+        # and every entry the transcription has, reduced_operators writes
+        rng = np.random.default_rng(41)
+        for params in structure_draws(rng, 40):
+            rhs = _reduced_rhs(coefficient_set(params), rng.uniform(-3.0, 3.0), 0.0)
+            t = rng.uniform(0.0, 50.0)
+
+            def f(y):
+                out = rhs(t, y)
+                return out[0::2] + 1j * out[1::2]
+
+            f0 = f(np.zeros(16))
+            jac = np.stack([f(np.eye(16)[2 * j]) - f0 for j in range(8)], axis=1)
+            for i, row in enumerate(STATE):
+                for j, col in enumerate(STATE):
+                    if BLOCK_OF[row] != BLOCK_OF[col]:
+                        assert jac[i, j] == 0.0, (row, col)
+            assert not ((jac != 0.0) & ~_WRITTEN[0, :, :TRACE]).any()
+
+    def test_operators_within_written_entries(self):
+        # every nonzero of [A0|c0], [A+|c+] and [A-|c-] on random draws lies
+        # in the pattern the harmonic solve reads off reduced_operators
+        rng = np.random.default_rng(43)
+        draws = structure_draws(rng, 60)
+        stacks = [reduced_operators(coefficient_rows(columns_of(draws[0::2]))[0])]
+        stacks += [reduced_operators(coefficient_set(p)) for p in draws[1::2]]
+        for ops in stacks:
+            assert not ((ops != 0.0) & ~_WRITTEN).any()
+        assert _WRITTEN[1:].sum() == 24
+
+
+class TestDenseReference:
+    @staticmethod
+    def assert_matches_dense(table, coeffs, delta_p):
+        ref, kernels = dense_orders(coeffs, delta_p)
+        for n, kernel in kernels.items():
+            # the block test flags no row of these draws, nor does the 8x8 one
+            assert not dense_singular(kernel).any(), n
+        for (m, n), expected in ref.items():
+            z, failures = table.solve(m, n)
+            assert not failures, (m, n)
+            err = np.abs(z - expected).max(axis=-1)
+            assert (err <= 1e-12 * np.abs(expected).max(axis=-1)).all(), (m, n)
+
+    def test_one_row_tables(self, sideband_params):
+        rng = np.random.default_rng(47)
+        cases = [(sideband_params, 0.25)] + [
+            (p, rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0]))
+            for p in structure_draws(rng, 10)]
+        for params, dp in cases:
+            cs = coefficient_set(params)
+            self.assert_matches_dense(HarmonicTable(cs, dp), cs, dp)
+
+    def test_shared_coefficients(self, sideband_params):
+        cs = coefficient_set(sideband_params)
+        dps = np.array([-3.1, -0.7, -0.122, 0.25, 0.3, 1.9])
+        self.assert_matches_dense(HarmonicTable(cs, dps), cs, dps)
+
+    def test_coefficients_per_row(self):
+        rng = np.random.default_rng(53)
+        draws = [random_params(rng) for _ in range(40)]
+        rows, failures = coefficient_rows(columns_of(draws))
+        assert not failures
+        dps = rng.uniform(0.05, 5.0, 40) * rng.choice([-1.0, 1.0], 40)
+        self.assert_matches_dense(HarmonicTable(rows, dps), rows, dps)
+
+    def test_singular_flags_at_the_threshold(self):
+        # kernels whose 8x8 Hadamard ratio |det| / prod(row norms) sits just
+        # above and just below _REL_TOL at n = +1: the rows flagged singular
+        # are those the 8x8 test flags.  The coefficients are synthetic: a
+        # diagonal 4x4 block, and pairs [[a, 0], [1, d]], whose ratio
+        # |d| / sqrt(1 + |d|^2) involves no cancellation, with d = tiny on
+        # (p1, pm)
+        params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
+        dp = 1.0
+
+        def stack(tiny):
+            rows = len(tiny)
+            base, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * rows))
+            one, zero = np.ones(rows), np.zeros(rows)
+            return replaced(
+                base, s=one, c=zero, lambda_1=zero, lambda_plus=zero,
+                omega_R=-dp * one, x1=zero * 1j, x2=zero * 1j, x3=one + 0j,
+                x4=zero * 1j, R_plus_minus=one, R_minus_plus=one,
+                R_1_minus=one, R_1_plus=one, Gamma3=one + 0j,
+                Gamma_plus=one + 0j, gamma0_pair=np.asarray(tiny) + 0j)
+
+        def kernel(coeffs):
+            return 1j * dp * np.eye(TRACE) - reduced_operators(coeffs)[:, 0, :, :TRACE]
+
+        # the ratio is linear in tiny there: scale a trial onto the threshold
+        trial = kernel(stack([1e-12]))
+        _, logdet = np.linalg.slogdet(trial)
+        ratio = np.exp(logdet - np.log(np.linalg.norm(trial, axis=-1)).sum(-1))[0]
+        at = 1e-12 * _REL_TOL / ratio
+        coeffs = stack([1.0, at * (1 + 1e-3), at * (1 - 1e-3), 0.5])
+        assert list(dense_singular(kernel(coeffs))) == [False, False, True, False]
+        _, failures = HarmonicTable(coeffs, [dp] * 4).solve(1, 1)
+        assert set(failures) == {2}
+        assert isinstance(failures[2], SingularKernel)
+        assert str(failures[2]) == "kernel i n delta_p - A0 singular at (m=1, n=1)"
+
+
+class TestSingularBlocks:
+    @staticmethod
+    def assert_isolated(params, field, value, resonant, order):
+        # row 1 of three gets ``field`` = value at delta_p = resonant; only
+        # it fails, with the kernel's order in the message, and the other
+        # rows keep the bits they have alone
+        cs = coefficient_set(params)
+        rows, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 3))
+        column = getattr(rows.rates, field).copy()
+        column[1] = value
+        table = HarmonicTable(replaced(rows, **{field: column}), [0.25, resonant, 0.35])
+        for m, n in ((1, 1), (3, -1)):
+            z, failures = table.solve(m, n)
+            assert set(failures) == {1}
+            assert isinstance(failures[1], SingularKernel)
+            for row, dp in ((0, 0.25), (2, 0.35)):
+                alone, _ = HarmonicTable(cs, dp).solve(m, n)
+                assert np.array_equal(z[row], alone[0])
+        _, failures = table.solve(*order)
+        assert str(failures[1]) == ("kernel i n delta_p - A0 singular at "
+                                    f"(m={order[0]}, n={order[1]})")
+        with pytest.raises(SingularKernel):
+            HarmonicTable(replaced(cs, **{field: value}), resonant).get("1p", *order)
+
+    def test_block_row_isolated(self):
+        # an undamped rho_{-1} (Gamma3 without its real part, no cavity) at
+        # delta_p equal to its rotation: the 4x4 block is singular at n = +1
+        params = quiet_params(g1=0.0, g2=0.0, delta=0.0, omega21=150.0)
+        gamma3 = coefficient_set(params).rates.Gamma3
+        self.assert_isolated(params, "Gamma3", 1j * gamma3.imag, -gamma3.imag, (1, 1))
+
+    def test_p1_pair_row_isolated(self):
+        # an undamped rho_{+1} (Gamma_plus = 0, no cavity) at delta_p equal to
+        # its bare rotation: the (p1, pm) pair is singular at n = +1
+        params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
+        basis = coefficient_set(params).basis
+        self.assert_isolated(params, "Gamma_plus", 0.0,
+                             basis.lambda_1 - basis.lambda_plus, (1, 1))
+
+    def test_zeroth_order_singular_is_typed(self):
+        # an undamped population block at n = 0: SingularSteadyState
+        params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
+        cs = coefficient_set(params)
+        zero = replaced(cs, R_plus_minus=0.0, R_minus_plus=0.0, R_1_minus=0.0,
+                        R_1_plus=0.0)
+        with pytest.raises(SingularSteadyState, match=r"\(m=0, n=0\)"):
+            zeroth_order_steady_state(zero)
