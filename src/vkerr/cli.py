@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .dressed import coefficient_set
@@ -223,9 +222,8 @@ def _run_dump_coefficients(args) -> None:
     coeffs = coefficient_set(params)
     meta = metadata(params)
     payload = {"metadata": meta, "gamma12": meta.pop("gamma12")}
-    for block in fields(coeffs)[2:]:        # after params and gamma12
-        key = "cavity_response" if block.name == "response" else block.name
-        payload[key] = _fields(getattr(coeffs, block.name))
+    for name, block in vars(coeffs).items():
+        payload[name] = _fields(block)
     _emit(payload, args.out)
 
 

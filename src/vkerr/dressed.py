@@ -104,20 +104,14 @@ class RateSet:
 class CoefficientSet:
     """Everything the reduced dynamics needs, for one or many parameter sets.
 
-    ``coefficient_set`` fills the fields with numbers for one SystemParams;
-    ``coefficient_rows`` fills them with 1-D arrays, one row per row of a
-    ParameterColumns.
+    ``coefficient_set`` fills the four blocks with numbers for one
+    SystemParams; ``coefficient_rows`` fills them with 1-D arrays, one row
+    per row of a ParameterColumns.
     """
-    params: SystemParams | ParameterColumns
-    gamma12: float | np.ndarray
     basis: DressedBasis
-    response: CavityResponse
+    cavity_response: CavityResponse
     interference: InterferenceTerms
     rates: RateSet
-
-    @property
-    def blocks(self) -> tuple:
-        return self.basis, self.response, self.interference, self.rates
 
 
 _DEGENERATE = "omega_L_rabi = 0 and delta = 0"
@@ -235,14 +229,12 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
         basis = _dress(params, omega_R)
         resp = cavity_response(params, basis)
         coeffs = CoefficientSet(
-            params=params,
-            gamma12=effective_gamma12(params),
             basis=basis,
-            response=resp,
+            cavity_response=resp,
             interference=interference_terms(params, basis, resp),
             rates=rate_set(params, basis, resp),
         )
-    values = [v for block in coeffs.blocks for v in vars(block).values()]
+    values = [v for block in vars(coeffs).values() for v in vars(block).values()]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
     failures = {}
     if not finite.all():     # Omega_R = 0 leaves nan in c and s
@@ -262,5 +254,5 @@ def coefficient_set(params: SystemParams) -> CoefficientSet:
     coeffs, failures = coefficient_rows(ParameterColumns.along(params))
     if failures:
         raise failures[0]
-    return CoefficientSet(params, coeffs.gamma12.item(), *(
-        type(b)(*[v.item() for v in vars(b).values()]) for b in coeffs.blocks))
+    return CoefficientSet(*(type(b)(*[v.item() for v in vars(b).values()])
+                            for b in vars(coeffs).values()))

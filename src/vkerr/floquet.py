@@ -35,9 +35,6 @@ from .dressed import (CoefficientSet, DressedBasis, InterferenceTerms,
                       RateSet)
 
 __all__ = [
-    "ELEMENTS",
-    "CONJUGATE_ELEMENT",
-    "POPULATIONS",
     "STATE",
     "SingularSteadyState",
     "SingularKernel",
@@ -47,15 +44,8 @@ __all__ = [
     "zeroth_order_steady_state",
 ]
 
-POPULATIONS = ("mm", "11", "pp")
-ELEMENTS = POPULATIONS + ("m1", "1m", "1p", "p1", "mp", "pm")
-CONJUGATE_ELEMENT = {
-    "mm": "mm", "11": "11", "pp": "pp",
-    "m1": "1m", "1m": "m1", "1p": "p1", "p1": "1p", "mp": "pm", "pm": "mp",
-}
 # the unknowns of the reduced equations; rho_{++} follows from the trace
 STATE = ("mm", "11", "m1", "1m", "1p", "p1", "mp", "pm")
-_INDEX = {name: i for i, name in enumerate(STATE)}
 _DIM = TRACE = len(STATE)     # column TRACE of an operator holds its constant
 
 _REL_TOL = 1e-12
@@ -144,7 +134,7 @@ def _written_entries() -> np.ndarray:
                                   (DressedBasis, InterferenceTerms, RateSet))
     with np.errstate(all="ignore"):
         return np.isnan(reduced_operators(
-            CoefficientSet(None, nan, basis, None, interference, rates))[0])
+            CoefficientSet(basis, None, interference, rates))[0])
 
 
 # The kernel i n delta_p - A0 splits into blocks that A0 never couples: the
@@ -213,19 +203,6 @@ class HarmonicTable:
         # every order outside the reachable cone, shared and read-only
         self._zero = np.zeros((len(self.delta_p), TRACE + 1), dtype=complex)
         self._zero.flags.writeable = False
-
-    def get(self, element: str, m: int, n: int) -> complex:
-        """Coefficient of Omega_p^m e^{i n delta_p t} in one element (one row)."""
-        if element not in ELEMENTS:
-            raise ValueError(f"unknown element {element!r}")
-        if len(self.delta_p) != 1:
-            raise ValueError("get needs a one-row table; use solve()")
-        z, failures = self.solve(m, n)
-        if failures:
-            raise failures[0]
-        if element == "pp":
-            return complex(z[0, TRACE] - z[0, _INDEX["mm"]] - z[0, _INDEX["11"]])
-        return complex(z[0, _INDEX[element]])
 
     def solve(self, m: int, n: int) -> tuple:
         """(z, failures) for order (m, n).
@@ -331,10 +308,9 @@ def zeroth_order_steady_state(coeffs: CoefficientSet) -> SteadyState0:
     Order (0, 0) of the hierarchy: -A0 z = c0, with rho_{++} eliminated by
     the unit trace.
     """
-    table = HarmonicTable(coeffs, 0.0)
-    return SteadyState0(
-        rho_11=table.get("11", 0, 0).real,
-        rho_mm=table.get("mm", 0, 0).real,
-        rho_pp=table.get("pp", 0, 0).real,
-        rho_m1=table.get("m1", 0, 0),
-    )
+    z, failures = HarmonicTable(coeffs, 0.0).solve(0, 0)
+    if failures:
+        raise failures[0]
+    mm, p11, m1, *_, trace = z[0].tolist()      # in STATE order, then the trace
+    return SteadyState0(rho_11=p11.real, rho_mm=mm.real,
+                        rho_pp=(trace - mm - p11).real, rho_m1=m1)

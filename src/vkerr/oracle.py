@@ -98,9 +98,6 @@ class LimitCycleRecord:
     step_error: float
     hermiticity_error: float
 
-    def harmonic(self, element: str, n: int) -> complex:
-        return self.harmonics[element][n]
-
     def probe_harmonic(self, n: int, c: float, s: float) -> complex:
         """Amplitude of the probe-transition coherence s*rho_{1+} - c*rho_{1-}."""
         return s * self.harmonics["1p"][n] - c * self.harmonics["1m"][n]
@@ -230,22 +227,27 @@ def lindblad_steady_state(params: SystemParams,
     )
 
 
-def converged_steady_state(params: SystemParams, n_max_start: int = 2,
-                           n_max_limit: int = 12, tol: float = 1e-4
-                           ) -> tuple[SteadyState0, FockTruncation]:
-    """Raise the Fock cutoff until populations move by less than ``tol``."""
-    previous = lindblad_steady_state(params, FockTruncation(n_max_start))
-    for n_max in range(n_max_start + 1, n_max_limit + 1):
+_N_MAX_START, _N_MAX_LIMIT, _TOL = 2, 12, 1e-4
+
+
+def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTruncation]:
+    """Raise the Fock cutoff until the steady state moves by less than _TOL.
+
+    The cutoff starts at _N_MAX_START; past _N_MAX_LIMIT it raises
+    NonConvergedTruncation.
+    """
+    previous = lindblad_steady_state(params, FockTruncation(_N_MAX_START))
+    for n_max in range(_N_MAX_START + 1, _N_MAX_LIMIT + 1):
         current = lindblad_steady_state(params, FockTruncation(n_max))
         change = max(abs(current.rho_11 - previous.rho_11),
                      abs(current.rho_mm - previous.rho_mm),
                      abs(current.rho_pp - previous.rho_pp),
                      abs(current.rho_m1 - previous.rho_m1))
-        if change < tol:
+        if change < _TOL:
             return current, FockTruncation(n_max)
         previous = current
     raise NonConvergedTruncation(
-        f"populations still moving by > {tol:g} at n_max = {n_max_limit}")
+        f"populations still moving by > {_TOL:g} at n_max = {_N_MAX_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

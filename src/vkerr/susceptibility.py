@@ -173,9 +173,6 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.axis_values)
 
-    def axis(self) -> np.ndarray:
-        return self.axis_values
-
     def column(self, name: str) -> np.ndarray:
         """One CSV column, by its name in CSV_COLUMNS; nan for failed rows."""
         if name == "axis":
@@ -253,81 +250,58 @@ class FeatureReport:
                     or self.transparency_points)
 
 
-def _zero_crossings(xs, ys):
-    """Linearly interpolated sign changes; each brackets a change in ys."""
-    out = []
-    for i in range(len(ys) - 1):
-        a, b = ys[i], ys[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            out.append(xs[i])
-        elif (a < 0.0 < b) or (b < 0.0 < a):
-            out.append(xs[i] - a * (xs[i + 1] - xs[i]) / (b - a))
-    if ys and ys[-1] == 0.0:
-        out.append(xs[-1])
-    return out
-
-
-def _local_extrema(xs, ys):
-    """Interior local extrema, position refined by a parabola through 3 points."""
-    out = []
-    for i in range(1, len(ys) - 1):
-        left, mid, right = ys[i - 1], ys[i], ys[i + 1]
-        if any(math.isnan(v) for v in (left, mid, right)):
-            continue
-        if (mid > left and mid > right) or (mid < left and mid < right):
-            denom = left - 2.0 * mid + right
-            shift = 0.0 if denom == 0.0 else 0.5 * (left - right) / denom
-            shift = max(-0.5, min(0.5, shift))
-            x = xs[i] + shift * (xs[i + 1] - xs[i])
-            value = mid - 0.25 * (left - right) * shift
-            out.append((x, value))
-    return out
-
-
 def find_features(result: SweepResult,
                   transparency_fraction: float = 0.05) -> FeatureReport:
     """Zero crossings of Im chi3, extrema of Re chi3, transparency points.
 
-    A transparency point is an Im chi3 zero crossing at which the linear
-    absorption |Im chi1| stays below ``transparency_fraction`` of the peak
-    |Re chi3| over the sweep; it must be finite and non-negative.
+    A nan (failed) row takes part in no feature.  An Im chi3 zero is a row
+    where Im chi3 is exactly 0 and the next row is not nan, the last row if
+    it is 0, or a sign change between two rows, placed by linear
+    interpolation.  A Re chi3 extremum is an interior row above or below
+    both neighbours; the parabola through the three rows refines its
+    position, by at most half a step, and its value.  A transparency point
+    is an Im chi3 zero at which the linear absorption |Im chi1| is at most
+    ``transparency_fraction`` of the peak |Re chi3| over the sweep; an exact
+    zero reads Im chi1 on its own row, a sign change interpolates it between
+    its two rows.  ``transparency_fraction`` must be finite and non-negative.
     """
     if not (math.isfinite(transparency_fraction) and transparency_fraction >= 0.0):
         raise ValueError("transparency_fraction must be finite and non-negative, "
                          f"got {transparency_fraction!r}")
     if len(result) < 3:
         raise ValueError("need at least 3 rows to detect features")
-    xs, im3, re3, im1 = (result.column(name).tolist()
+    xs, im3, re3, im1 = (result.column(name)
                          for name in ("axis", "im_chi3", "re_chi3", "im_chi1"))
-
-    zeros = tuple(_zero_crossings(xs, im3))
-    extrema = tuple(_local_extrema(xs, re3))
-    finite_re3 = [abs(v) for v in re3 if not math.isnan(v)]
-    peak = max(finite_re3) if finite_re3 else math.nan
-
-    transparency = []
-    if not math.isnan(peak) and peak > 0.0:
-        for x0 in zeros:
-            # |Im chi1| at the crossing, linearly interpolated
-            i = max(0, min(len(xs) - 2, _bracket(xs, x0)))
-            t = 0.0 if xs[i + 1] == xs[i] else (x0 - xs[i]) / (xs[i + 1] - xs[i])
-            v = (1.0 - t) * im1[i] + t * im1[i + 1]
-            if abs(v) <= transparency_fraction * peak:
-                transparency.append(x0)
+    with np.errstate(all="ignore"):     # nan rows, a zero or non-finite step
+        # Im chi3 zeros, each by the first row i of its row pair (i, i + 1)
+        a, b = im3[:-1], im3[1:]
+        exact = (a == 0.0) & ~np.isnan(b)
+        i = np.flatnonzero(exact | (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0))
+        exact, a, b, x, step = exact[i], a[i], b[i], xs[i], xs[i + 1] - xs[i]
+        zeros = np.where(exact, x, x - a * step / (b - a))
+        t = np.where(step == 0.0, 0.0, (zeros - x) / step)
+        im1_at = np.where(exact, im1[i], (1.0 - t) * im1[i] + t * im1[i + 1])
+        if im3[-1] == 0.0:
+            zeros, im1_at = np.append(zeros, xs[-1]), np.append(im1_at, im1[-1])
+        # Re chi3 extrema, each by its middle row k + 1
+        left, mid, right = re3[:-2], re3[1:-1], re3[2:]
+        k = np.flatnonzero((mid > left) & (mid > right) | (mid < left) & (mid < right))
+        left, mid, right = left[k], mid[k], right[k]
+        denom = left - 2.0 * mid + right
+        shift = np.where(denom == 0.0, 0.0, 0.5 * (left - right) / denom)
+        # clamped as max(-0.5, min(0.5, shift)) would, which maps nan to 0.5
+        shift = np.where(shift < 0.5, shift, 0.5)
+        shift = np.where(shift > -0.5, shift, -0.5)
+        extrema = zip((xs[k + 1] + shift * (xs[k + 2] - xs[k + 1])).tolist(),
+                      (mid - 0.25 * (left - right) * shift).tolist())
+    clean_re3 = np.abs(re3[~np.isnan(re3)])
+    peak = clean_re3.max().item() if len(clean_re3) else math.nan
+    dark = (np.abs(im1_at) <= transparency_fraction * peak) & (peak > 0.0)
     return FeatureReport(
-        im_chi3_zeros=zeros, re_chi3_extrema=extrema,
-        transparency_points=tuple(transparency),
+        im_chi3_zeros=tuple(zeros.tolist()), re_chi3_extrema=tuple(extrema),
+        transparency_points=tuple(zeros[dark].tolist()),
         transparency_fraction=transparency_fraction, re_chi3_peak=peak,
     )
-
-
-def _bracket(xs, x0):
-    for i in range(len(xs) - 1):
-        if xs[i] <= x0 <= xs[i + 1]:
-            return i
-    return len(xs) - 2
 
 
 # ---------------------------------------------------------------------------

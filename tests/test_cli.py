@@ -298,6 +298,23 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
+# the names the benchmark harness reaches in the package: the layer
+# functions it traces, the calls of its library job and SystemParams
+_BENCHMARK_NAMES = ("load_config", "coefficient_set", "sweep", "find_features",
+                    "write_csv", "write_json", "zeroth_order_steady_state",
+                    "lindblad_steady_state", "converged_steady_state",
+                    "time_domain_reference", "chi", "SystemParams")
+
+
+def test_exported_names_resolve():
+    import vkerr
+    from vkerr import dressed, floquet, oracle, params, susceptibility
+    for module in (vkerr, dressed, floquet, oracle, params, susceptibility):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    assert set(_BENCHMARK_NAMES) <= set(vkerr.__all__)
+
+
 def _scipy_modules_after(code: str) -> list:
     probe = (f"import sys; {code}; "
              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -7,8 +7,7 @@ import pytest
 from vkerr import (CoefficientSet, HarmonicTable, ParameterColumns,
                    SingularKernel, SingularSteadyState, chi, coefficient_rows,
                    coefficient_set, zeroth_order_steady_state)
-from vkerr.floquet import (_REL_TOL, _WRITTEN, CONJUGATE_ELEMENT, ELEMENTS,
-                           POPULATIONS, STATE, TRACE, reduced_operators)
+from vkerr.floquet import _REL_TOL, _WRITTEN, STATE, TRACE, reduced_operators
 
 from test_dressed import columns_of, quiet_params, random_params
 
@@ -65,10 +64,22 @@ def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
     return rhs
 
 
+POPULATIONS = ("mm", "11", "pp")
+ELEMENTS = POPULATIONS + ("m1", "1m", "1p", "p1", "mp", "pm")
+CONJUGATE_ELEMENT = {
+    "mm": "mm", "11": "11", "pp": "pp",
+    "m1": "1m", "1m": "m1", "1p": "p1", "p1": "1p", "mp": "pm", "pm": "mp",
+}
+
+
 def element_rows(table, element, m, n):
-    """One element at order (m, n) on every row, rho_{++} from the trace."""
+    """One element at order (m, n) on every row, rho_{++} from the trace.
+
+    Raises the first failure of any row at that order.
+    """
     z, failures = table.solve(m, n)
-    assert not failures, failures
+    if failures:
+        raise next(iter(failures.values()))
     if element == "pp":
         return z[:, TRACE] - z[:, STATE.index("mm")] - z[:, STATE.index("11")]
     return z[:, STATE.index(element)]
@@ -123,20 +134,19 @@ class TestHarmonicStructure:
         table = HarmonicTable(coefficient_set(sideband_params), 0.25)
         for el in ELEMENTS:
             for n in (-3, -2, -1, 1, 2, 3):
-                assert table.get(el, 0, n) == 0.0
+                assert element_rows(table, el, 0, n)[0] == 0.0
 
     def test_fast_pair_vanishes_at_zeroth_order(self, sideband_params):
         table = HarmonicTable(coefficient_set(sideband_params), 0.25)
-        assert table.get("mp", 0, 0) == 0.0
-        assert table.get("1p", 0, 0) == 0.0
+        assert element_rows(table, "mp", 0, 0)[0] == 0.0
+        assert element_rows(table, "1p", 0, 0)[0] == 0.0
 
     def test_unreachable_harmonics_vanish(self, sideband_params):
         table = HarmonicTable(coefficient_set(sideband_params), 0.25)
         # m = 1 populates only n = +-1, m = 2 only n in {-2, 0, 2}
         for el in ELEMENTS:
-            assert table.get(el, 1, 0) == pytest.approx(0.0, abs=1e-300)
-            assert table.get(el, 2, 1) == pytest.approx(0.0, abs=1e-300)
-            assert table.get(el, 2, -1) == pytest.approx(0.0, abs=1e-300)
+            for m, n in ((1, 0), (2, 1), (2, -1)):
+                assert element_rows(table, el, m, n)[0] == pytest.approx(0.0, abs=1e-300)
 
     def test_hermiticity_and_trace(self, sideband_params):
         cs = coefficient_set(sideband_params)
@@ -160,7 +170,7 @@ class TestGoldenHarmonics:
     def test_values(self, sideband_params):
         table = HarmonicTable(coefficient_set(sideband_params), 0.25)
         for (el, m, n), expected in self.GOLDEN.items():
-            got = table.get(el, m, n)
+            got = element_rows(table, el, m, n)[0]
             assert got == pytest.approx(expected, rel=1e-12), (el, m, n)
 
 
@@ -180,7 +190,8 @@ class TestProbeCoherence:
         s, c = cs.basis.s, cs.basis.c
         point = chi(sideband_params, omega, coeffs=cs)
         for k, value in ((1, point.chi1), (3, point.chi3)):
-            assembled = -(s * table.get("1p", k, -1) - c * table.get("1m", k, -1))
+            assembled = -(s * element_rows(table, "1p", k, -1)[0]
+                          - c * element_rows(table, "1m", k, -1)[0])
             assert value == pytest.approx(assembled, rel=1e-14, abs=1e-300)
 
 
@@ -208,7 +219,7 @@ class TestBatchedSolve:
             alone, _ = HarmonicTable(cs, dp).solve(3, -1)
             assert np.array_equal(z[row], alone[0])
         with pytest.raises(SingularKernel):
-            HarmonicTable(undamped, resonant).get("1p", 1, -1)
+            element_rows(HarmonicTable(undamped, resonant), "1p", 1, -1)
 
     def test_operators_match_reduced_rhs(self):
         # the operators against _reduced_rhs, the equations transcribed
@@ -242,8 +253,8 @@ class TestIndependentConjugateRoutes:
         # independent computations, not by construction
         cs = coefficient_set(sideband_params)
         table = HarmonicTable(cs, 0.37)
-        a = table.get("1m", 3, -1)
-        b = table.get("m1", 3, 1).conjugate()
+        a = element_rows(table, "1m", 3, -1)[0]
+        b = element_rows(table, "m1", 3, 1)[0].conjugate()
         assert a is not b
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -433,7 +444,8 @@ class TestSingularBlocks:
         assert str(failures[1]) == ("kernel i n delta_p - A0 singular at "
                                     f"(m={order[0]}, n={order[1]})")
         with pytest.raises(SingularKernel):
-            HarmonicTable(replaced(cs, **{field: value}), resonant).get("1p", *order)
+            element_rows(HarmonicTable(replaced(cs, **{field: value}), resonant),
+                         "1p", *order)
 
     def test_block_row_isolated(self):
         # an undamped rho_{-1} (Gamma3 without its real part, no cavity) at

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
-                   NonHermitianGenerator, coefficient_set,
-                   converged_steady_state, lindblad_steady_state,
-                   time_domain_reference, zeroth_order_steady_state)
+                   NonConvergedTruncation, NonHermitianGenerator,
+                   coefficient_set, converged_steady_state,
+                   lindblad_steady_state, oracle, time_domain_reference,
+                   zeroth_order_steady_state)
 from vkerr.floquet import STATE, reduced_operators
 from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
                           _magnus_exponents, _null_state, _sample_maps,
@@ -14,7 +15,7 @@ from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
 from vkerr.params import effective_gamma12
 
 from test_dressed import quiet_params, random_params
-from test_floquet import _reduced_rhs
+from test_floquet import _reduced_rhs, element_rows
 
 # published exact-solve reference for the sideband operating point
 REF_EXACT = {"rho_11": 0.2082, "rho_pp": 0.2375, "rho_mm": 0.5543,
@@ -149,6 +150,13 @@ class TestLindbladSteadyState:
         assert trunc.n_max <= 5
         assert ss.rho_11 == pytest.approx(REF_EXACT["rho_11"], abs=2e-3)
 
+    def test_unconverged_cutoff_raises(self, sideband_params, monkeypatch):
+        # stronger couplings need n_max 4 to converge; a limit of 3 stops short
+        monkeypatch.setattr(oracle, "_N_MAX_LIMIT", 3)
+        with pytest.raises(NonConvergedTruncation) as info:
+            converged_steady_state(sideband_params.replace(g1=20.0, g2=40.0))
+        assert str(info.value) == "populations still moving by > 0.0001 at n_max = 3"
+
     def test_matches_analytic_within_elimination_error(self, sideband_params):
         numeric = lindblad_steady_state(sideband_params, FockTruncation(4))
         analytic = zeroth_order_steady_state(coefficient_set(sideband_params))
@@ -227,11 +235,11 @@ class TestTimeDomainReference:
         cs = coefficient_set(gentle_params)
         rec = time_domain_reference(cs, omega_p=0.0, delta_p=0.5)
         ss = zeroth_order_steady_state(cs)
-        assert rec.harmonic("mm", 0).real == pytest.approx(ss.rho_mm, abs=1e-8)
-        assert rec.harmonic("11", 0).real == pytest.approx(ss.rho_11, abs=1e-8)
-        assert rec.harmonic("m1", 0) == pytest.approx(ss.rho_m1, abs=1e-8)
+        assert rec.harmonics["mm"][0].real == pytest.approx(ss.rho_mm, abs=1e-8)
+        assert rec.harmonics["11"][0].real == pytest.approx(ss.rho_11, abs=1e-8)
+        assert rec.harmonics["m1"][0] == pytest.approx(ss.rho_m1, abs=1e-8)
         for n in (-3, -2, -1, 1, 2, 3):
-            assert abs(rec.harmonic("mm", n)) < 1e-10
+            assert abs(rec.harmonics["mm"][n]) < 1e-10
 
     def test_first_harmonic_matches_recursion(self, gentle_params,
                                               gentle_cycle):
@@ -240,7 +248,8 @@ class TestTimeDomainReference:
         wp, dp = gentle_cycle.omega_p, gentle_cycle.delta_p
         table = HarmonicTable(cs, dp)
         s, c = cs.basis.s, cs.basis.c
-        analytic = wp * (s * table.get("1p", 1, -1) - c * table.get("1m", 1, -1))
+        analytic = wp * (s * element_rows(table, "1p", 1, -1)[0]
+                         - c * element_rows(table, "1m", 1, -1)[0])
         oracle = gentle_cycle.probe_harmonic(-1, c, s)
         assert abs(analytic - oracle) <= 5e-3 * abs(oracle)
 
@@ -252,8 +261,8 @@ class TestTimeDomainReference:
         wp, dp = 1e-3, 0.25
         rec = time_domain_reference(cs, omega_p=wp, delta_p=dp)
         table = HarmonicTable(cs, dp)
-        oracle = rec.harmonic("1p", -1) / wp
-        analytic = table.get("1p", 1, -1)
+        oracle = rec.harmonics["1p"][-1] / wp
+        analytic = element_rows(table, "1p", 1, -1)[0]
         assert abs(analytic - oracle) <= 5e-3 * abs(oracle)
 
     def test_third_harmonic_scaling(self, gentle_params, gentle_cycle):

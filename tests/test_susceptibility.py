@@ -45,7 +45,7 @@ class TestChi:
         assert report.transparency_points
         nearest = min(report.transparency_points, key=lambda z: abs(z - top[0]))
         assert abs(nearest - top[0]) < 0.05
-        i_near = int(np.argmin(np.abs(np.array(result.axis()) - nearest)))
+        i_near = int(np.argmin(np.abs(np.array(result.axis_values) - nearest)))
         im1 = abs(result.rows[i_near].result.im_chi1)
         assert im1 < 0.05 * report.re_chi3_peak
 
@@ -318,6 +318,29 @@ class TestFindFeatures:
         loud = synthetic_result(xs, im3, im1=[0.5] * 11)
         assert find_features(quiet).transparency_points == (5.0,)
         assert find_features(loud).transparency_points == ()
+
+    def test_axis_direction_does_not_change_features(self, sideband_params):
+        # the fig3b window swept upward and downward finds the same features
+        grid = np.array(ProbeGrid.from_range(199.0, 201.5, 0.005).omega_values)
+        up, down = (find_features(sweep(sideband_params, values))
+                    for values in (grid, grid[::-1]))
+        assert sorted(down.im_chi3_zeros) == pytest.approx(
+            sorted(up.im_chi3_zeros), rel=1e-12)
+        assert sorted(down.re_chi3_extrema) == sorted(up.re_chi3_extrema)
+        assert sorted(down.transparency_points) == pytest.approx(
+            sorted(up.transparency_points), rel=1e-12)
+        assert up.transparency_points
+
+    def test_exact_zero_after_failed_row_judged_on_its_own_row(self):
+        # row 1 failed; row 2 is an exact Im chi3 zero with little absorption
+        rows = list(synthetic_result([0.0, 1.0, 2.0, 3.0, 4.0],
+                                     [1.0, 1.0, 0.0, 1.0, 2.0],
+                                     im1=[1.0, 1.0, 0.01, 1.0, 1.0]).rows)
+        rows[1] = SweepRow(axis_value=1.0, error="ValueError: failed")
+        report = find_features(result_of(rows, axis_name="omega",
+                                         params=quiet_params()))
+        assert report.im_chi3_zeros == (2.0,)
+        assert report.transparency_points == (2.0,)
 
     def test_empty_report(self):
         xs = [0.0, 1.0, 2.0]
