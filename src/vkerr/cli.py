@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .dressed import coefficient_set
 from .floquet import zeroth_order_steady_state
-from .oracle import FockTruncation, converged_steady_state, lindblad_steady_state
 from .params import ProbeGrid, SystemParams, load_config
 from .susceptibility import (chi, find_features, metadata, result_metadata,
                              sweep, write_csv, write_json)
@@ -143,16 +142,16 @@ def _number(value):
     return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _fields(block) -> dict:
-    """The fields of a dataclass instance, in declared order, as JSON numbers."""
-    return {name: _number(value) for name, value in vars(block).items()}
+def _fields(record) -> dict:
+    """The fields of a NamedTuple record, in declared order, as JSON numbers."""
+    return {name: _number(value) for name, value in record._asdict().items()}
 
 
 def _run_point(args) -> None:
     params = _load_params(args)
     result = chi(params, args.omega)
-    _emit({"metadata": metadata(params), "omega": args.omega, **vars(result)},
-          args.out)
+    _emit({"metadata": metadata(params), "omega": args.omega,
+           **result._asdict()}, args.out)
 
 
 def _sweep_from_args(args, params=None):
@@ -179,10 +178,12 @@ def _run_sweep(args, params=None, extra_metadata=None):
 def _run_features(args) -> None:
     result = _sweep_from_args(args)
     report = find_features(result, transparency_fraction=args.transparency_frac)
-    _emit({"metadata": result_metadata(result), **vars(report)}, args.out)
+    _emit({"metadata": result_metadata(result), **report._asdict()}, args.out)
 
 
 def _run_oracle_compare(args) -> None:
+    from .oracle import (FockTruncation, converged_steady_state,
+                         lindblad_steady_state)
     params = _load_params(args)
     analytic = zeroth_order_steady_state(coefficient_set(params))
     if args.fock_cutoff is not None:
@@ -191,8 +192,7 @@ def _run_oracle_compare(args) -> None:
     else:
         numeric, trunc = converged_steady_state(params)
     elements = {}
-    for name, a in vars(analytic).items():
-        b = getattr(numeric, name)
+    for name, a, b in zip(analytic._fields, analytic, numeric):
         delta = abs(a - b)
         elements[name] = {"analytic": _number(a), "oracle": _number(b),
                           "abs_delta": delta,
@@ -221,10 +221,9 @@ def _run_dump_coefficients(args) -> None:
     params = _load_params(args)
     coeffs = coefficient_set(params)
     meta = metadata(params)
-    payload = {"metadata": meta, "gamma12": meta.pop("gamma12")}
-    for name, block in vars(coeffs).items():
-        payload[name] = _fields(block)
-    _emit(payload, args.out)
+    _emit({"metadata": meta, "gamma12": meta.pop("gamma12"),
+           **{name: _fields(block) for name, block in coeffs._asdict().items()}},
+          args.out)
 
 
 _RUNNERS = {

@@ -24,7 +24,7 @@ also accept a SystemParams and then return numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class DegenerateDressing(ValueError):
     """No drive and no detuning: the dressed basis is undefined."""
 
 
-@dataclass(frozen=True)
-class DressedBasis:
+class DressedBasis(NamedTuple):
     c: float
     s: float
     omega_R: float
@@ -60,8 +59,7 @@ class DressedBasis:
     lambda_1: float
 
 
-@dataclass(frozen=True)
-class CavityResponse:
+class CavityResponse(NamedTuple):
     """Cavity filter factors at the five dressed emission frequencies."""
     B0: complex
     B1: complex
@@ -70,16 +68,14 @@ class CavityResponse:
     B4: complex
 
 
-@dataclass(frozen=True)
-class InterferenceTerms:
+class InterferenceTerms(NamedTuple):
     x1: complex
     x2: complex
     x3: complex
     x4: complex
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(NamedTuple):
     """Population transfer rates and complex coherence dampings.
 
     ``gamma0_pair`` is the damping actually carried by the rho_{-+}
@@ -100,8 +96,7 @@ class RateSet:
     gamma0_pair: complex
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     """Everything the reduced dynamics needs, for one or many parameter sets.
 
     ``coefficient_set`` fills the four blocks with numbers for one
@@ -228,13 +223,9 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
         omega_R = _rabi_frequency(params)
         basis = _dress(params, omega_R)
         resp = cavity_response(params, basis)
-        coeffs = CoefficientSet(
-            basis=basis,
-            cavity_response=resp,
-            interference=interference_terms(params, basis, resp),
-            rates=rate_set(params, basis, resp),
-        )
-    values = [v for block in vars(coeffs).values() for v in vars(block).values()]
+        coeffs = CoefficientSet(basis, resp, interference_terms(params, basis, resp),
+                                rate_set(params, basis, resp))
+    values = [v for block in coeffs for v in block]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
     failures = {}
     if not finite.all():     # Omega_R = 0 leaves nan in c and s
@@ -254,5 +245,5 @@ def coefficient_set(params: SystemParams) -> CoefficientSet:
     coeffs, failures = coefficient_rows(ParameterColumns.along(params))
     if failures:
         raise failures[0]
-    return CoefficientSet(*(type(b)(*[v.item() for v in vars(b).values()])
-                            for b in vars(coeffs).values()))
+    return CoefficientSet._make(type(b)._make(v.item() for v in b)
+                                for b in coeffs)

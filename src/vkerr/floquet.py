@@ -27,7 +27,7 @@ Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class SingularKernel(ArithmeticError):
     """A harmonic kernel i n delta_p - A0 is singular."""
 
 
-@dataclass(frozen=True)
-class SteadyState0:
+class SteadyState0(NamedTuple):
     """Probe-free stationary state in the dressed basis."""
     rho_11: float
     rho_mm: float
@@ -130,7 +129,7 @@ def _written_entries() -> np.ndarray:
     every entry it writes into NaN and leaves every other entry 0.
     """
     nan = np.full(1, np.nan)
-    basis, interference, rates = (cls(*[nan] * len(fields(cls))) for cls in
+    basis, interference, rates = (cls._make([nan] * len(cls._fields)) for cls in
                                   (DressedBasis, InterferenceTerms, RateSet))
     with np.errstate(all="ignore"):
         return np.isnan(reduced_operators(

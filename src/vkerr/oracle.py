@@ -28,13 +28,13 @@ Two independent checks live here, on numpy alone:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dressed import CoefficientSet, dress
 from .floquet import STATE, SteadyState0, reduced_operators
-from .params import SystemParams, effective_gamma12
+from .params import SystemParams, _checked, effective_gamma12
 
 __all__ = [
     "NonConvergedTruncation",
@@ -67,17 +67,18 @@ class NonHermitianGenerator(ArithmeticError):
     """The reduced equations do not map conjugate elements onto conjugates."""
 
 
-@dataclass(frozen=True)
-class FockTruncation:
+@_checked
+class FockTruncation(NamedTuple):
+    """Photon-number cutoff of the cavity Fock space; at least 1."""
+
     n_max: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class LimitCycleRecord:
+class LimitCycleRecord(NamedTuple):
     """One period of the reduced limit cycle plus its DFT harmonics.
 
     ``harmonics[element][n]`` is the complex amplitude of exp(i n delta_p t)
@@ -170,15 +171,18 @@ def _null_state(L: np.ndarray, dim: int) -> np.ndarray:
     The diagonal rows of a trace-preserving L sum to zero, so rho_00's
     equation is redundant and its row is replaced by the trace condition
     vec(I) . x = 1 (Johansson, Nation & Nori, CPC 184, 1234 (2013)).  Two
-    fixed random right-hand sides share the factorization and give the
-    lower bound ||A||_1 max ||x_k|| / ||b_k|| on the condition number; a
-    singular or near-singular A means the null space is not one-dimensional.
+    fixed right-hand sides share the factorization and give the lower bound
+    ||A||_1 max ||x_k|| / ||b_k|| on the condition number; a singular or
+    near-singular A means the null space is not one-dimensional.  The two
+    are chirps of the index k, sin(k^2) and cos(sqrt(2) k^2), which bound
+    cond_1 as closely as Gaussian vectors do without loading numpy.random.
     """
     A = L.copy()
     A[0] = np.eye(dim).reshape(-1)
+    k2 = np.arange(dim * dim, dtype=float) ** 2
     b = np.zeros((dim * dim, 3), dtype=complex)
     b[0, 0] = 1.0
-    b[:, 1:] = np.random.default_rng(0).standard_normal((dim * dim, 2))
+    b[:, 1], b[:, 2] = np.sin(k2), np.cos(math.sqrt(2.0) * k2)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -239,10 +243,7 @@ def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTrun
     previous = lindblad_steady_state(params, FockTruncation(_N_MAX_START))
     for n_max in range(_N_MAX_START + 1, _N_MAX_LIMIT + 1):
         current = lindblad_steady_state(params, FockTruncation(n_max))
-        change = max(abs(current.rho_11 - previous.rho_11),
-                     abs(current.rho_mm - previous.rho_mm),
-                     abs(current.rho_pp - previous.rho_pp),
-                     abs(current.rho_m1 - previous.rho_m1))
+        change = max(abs(a - b) for a, b in zip(current, previous))
         if change < _TOL:
             return current, FockTruncation(n_max)
         previous = current

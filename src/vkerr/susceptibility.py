@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dressed import CoefficientSet, coefficient_rows, coefficient_set
 from .floquet import STATE, HarmonicTable
-from .params import (ParameterColumns, ProbeGrid, SystemParams,
-                     effective_gamma12, probe_detuning_to_delta_p)
+from .params import (ParameterColumns, SystemParams, effective_gamma12,
+                     probe_detuning_to_delta_p)
 
 __all__ = [
     "Susceptibility",
@@ -43,8 +43,7 @@ CSV_COLUMNS = ("axis", "re_chi1", "im_chi1", "re_chi3", "im_chi3",
                "ratio_31", "ratio_33")
 
 
-@dataclass(frozen=True)
-class Susceptibility:
+class Susceptibility(NamedTuple):
     re_chi1: float
     im_chi1: float
     re_chi3: float
@@ -130,8 +129,7 @@ def _rows(params: SystemParams, omegas, axis_name: str | None = None,
     return chis, first
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis_value: float
     result: Susceptibility | None = None
     error: str | None = None
@@ -151,7 +149,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
                         num / den)
 
 
-@dataclass(frozen=True, eq=False)
 class SweepResult:
     """One sweep as columns, one entry per axis value.
 
@@ -160,15 +157,16 @@ class SweepResult:
     ``errors[row]``.  ``rows`` presents the same data as SweepRow objects,
     built on each access; the writers and ``find_features`` read the columns.
     """
-    axis_name: str
-    params: SystemParams
-    axis_values: np.ndarray
-    re_chi1: np.ndarray
-    im_chi1: np.ndarray
-    re_chi3: np.ndarray
-    im_chi3: np.ndarray
-    errors: dict = field(default_factory=dict)
-    fixed_omega: float | None = None
+
+    def __init__(self, axis_name: str, params: SystemParams,
+                 axis_values: np.ndarray, re_chi1: np.ndarray,
+                 im_chi1: np.ndarray, re_chi3: np.ndarray, im_chi3: np.ndarray,
+                 errors: dict | None = None, fixed_omega: float | None = None):
+        self.axis_name, self.params, self.axis_values = axis_name, params, axis_values
+        self.re_chi1, self.im_chi1 = re_chi1, im_chi1
+        self.re_chi3, self.im_chi3 = re_chi3, im_chi3
+        self.errors = {} if errors is None else errors
+        self.fixed_omega = fixed_omega
 
     def __len__(self) -> int:
         return len(self.axis_values)
@@ -215,8 +213,6 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
                          f"a fixed omega ({omega!r}) conflicts with it")
     if axis_name != "omega" and omega is None:
         raise ValueError("parameter sweeps need a fixed omega")
-    if isinstance(values, ProbeGrid):
-        values = values.omega_values
     values = np.fromiter(values, dtype=float)
 
     if axis_name == "omega":
@@ -235,8 +231,7 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
 # feature detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureReport:
+class FeatureReport(NamedTuple):
     """Spectroscopic features of one sweep; empty lists mean none found."""
     im_chi3_zeros: tuple = ()
     re_chi3_extrema: tuple = ()        # (axis position, refined Re chi3 value)
@@ -341,7 +336,7 @@ def write_csv(result: SweepResult, path_or_file) -> None:
 def metadata(params: SystemParams, **extra) -> dict:
     """The metadata block of every JSON output, ``extra`` keys last."""
     from . import __version__
-    return {"tool_version": __version__, "params": params.as_dict(),
+    return {"tool_version": __version__, "params": params._asdict(),
             "gamma12": effective_gamma12(params), **extra}
 
 

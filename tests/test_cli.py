@@ -186,6 +186,59 @@ class TestKeyOrder:
                                             "ratio_33"]
 
 
+# vkerr point (omega 200.122) and dump-coefficients at the fig2c point of
+# config_file, without the metadata: the records as the payloads write them
+_POINT = {"omega": 200.122, "re_chi1": 0.040131838969248254,
+          "im_chi1": 0.16573298818737808, "re_chi3": 0.7785852239600919,
+          "im_chi3": 3.803137991258217}
+_B0 = [0.10000000000000003, -0.20000000000000007]
+_B1 = [0.013513513513513518, -0.08108108108108111]
+_IM_X = -0.2108108108108109
+_GAMMA0 = [0.7277027027027031, 0.13378378378378386]
+_GAMMA_MINUS = [0.3060810810810811, -0.24594594594594613]
+_GAMMA_PLUS = [0.40337837837837853, 0.0702702702702703]
+_COEFFICIENTS = {
+    "gamma12": 0.0,
+    "basis": {"c": 0.7071067811865476, "s": 0.7071067811865476,
+              "omega_R": 400.0, "lambda_plus": 200.0, "lambda_minus": -200.0,
+              "lambda_1": -200.0},
+    "cavity_response": {"B0": _B0, "B1": _B1, "B2": [_B0[0], -_B0[1]],
+                        "B3": _B1, "B4": _B0},
+    "interference": {"x1": [0.0648648648648649, _IM_X],
+                     "x2": [0.08513513513513515, _IM_X],
+                     "x3": [0.23513513513513523, _IM_X],
+                     "x4": [0.08513513513513515, _IM_X]},
+    "rates": {"R_plus_minus": 0.27500000000000013,
+              "R_minus_plus": 0.08040540540540546,
+              "R_1_minus": 0.15000000000000005,
+              "R_1_plus": 0.10675675675675679,
+              "Gamma0": _GAMMA0, "Gamma_minus": _GAMMA_MINUS,
+              "Gamma_plus": _GAMMA_PLUS,
+              "Gamma1": [_GAMMA0[0], 400.13378378378377],
+              "Gamma2": _GAMMA_PLUS, "Gamma3": _GAMMA_MINUS,
+              "gamma0_pair": [_GAMMA0[0], -0.3162162162162164]},
+}
+
+
+class TestRecordPayloads:
+    """point and dump-coefficients write records field by field: pin them."""
+
+    def test_point(self, config_file, capsys):
+        assert main(["point", "--config", config_file, "--omega", "200.122"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["metadata", *_POINT]
+        # chi comes out of LAPACK solves, whose last bits may differ by CPU
+        assert [payload[k] for k in _POINT] == pytest.approx(
+            list(_POINT.values()), rel=1e-12)
+
+    def test_dump_coefficients(self, config_file, capsys):
+        assert main(["dump-coefficients", "--config", config_file]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["metadata"]
+        # elementwise arithmetic only: keys, order and every bit
+        assert json.dumps(payload) == json.dumps(_COEFFICIENTS)
+
+
 class TestFlags:
     """Each mode takes only the flags it acts on; others are usage errors."""
 
@@ -315,9 +368,12 @@ def test_exported_names_resolve():
     assert set(_BENCHMARK_NAMES) <= set(vkerr.__all__)
 
 
-def _scipy_modules_after(code: str) -> list:
+def _modules_after(code: str, prefixes) -> list:
+    """The loaded modules under ``prefixes`` after ``code`` runs in a fresh
+    interpreter: each prefix names a module and its submodules."""
+    dotted = tuple(prefix + "." for prefix in prefixes)
     probe = (f"import sys; {code}; "
-             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(*sorted(m for m in sys.modules if (m + '.').startswith({dotted!r})))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     return out.split()
@@ -326,19 +382,54 @@ def _scipy_modules_after(code: str) -> list:
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs most of the import time; importing the command line must
     # not pull it in
-    assert _scipy_modules_after("import vkerr.cli") == []
+    assert _modules_after("import vkerr.cli", ["scipy"]) == []
 
 
 def test_package_import_leaves_scipy_unloaded():
-    assert _scipy_modules_after("import vkerr") == []
+    assert _modules_after("import vkerr", ["scipy"]) == []
 
 
 def test_time_domain_oracle_loads_no_scipy():
     # both oracles run on numpy alone
-    assert _scipy_modules_after(
+    assert _modules_after(
         "import vkerr; vkerr.time_domain_reference("
         "vkerr.coefficient_set(vkerr.SystemParams(g1=1.0, g2=3.0)), "
-        "omega_p=1e-3, delta_p=2.0, n_samples=32)") == []
+        "omega_p=1e-3, delta_p=2.0, n_samples=32)", ["scipy"]) == []
+
+
+def _runs(*argv) -> str:
+    """Code that runs ``vkerr *argv`` in-process, output to the null device."""
+    return (f"import os; from vkerr.cli import main; "
+            f"assert main({list(argv)!r} + ['--out', os.devnull]) == 0")
+
+
+@pytest.mark.parametrize("code", [
+    "import vkerr.cli",
+    _runs("point", "--omega", "200.1"),
+    _runs("sweep", "--start", "199", "--stop", "201", "--step", "0.5"),
+], ids=["import", "point", "sweep"])
+def test_commands_load_no_oracle_and_no_dataclasses(code):
+    # a command pays at start-up only for what it runs: the oracles are
+    # compiled for oracle-compare alone, and the records are NamedTuples,
+    # which generate no dataclass code
+    assert _modules_after(code, ["vkerr.oracle", "dataclasses"]) == []
+
+
+def test_oracle_compare_loads_no_numpy_random():
+    # the condition estimate's right-hand sides are fixed chirps
+    code = _runs("oracle-compare", "--fock-cutoff", "2")
+    assert _modules_after(code, ["numpy.random", "dataclasses"]) == []
+
+
+def test_oracle_names_resolve_lazily():
+    # listing the package loads nothing; getattr and `import *` load
+    # vkerr.oracle and hand out its own objects
+    listed = "import vkerr; assert set(vkerr.__all__) <= set(dir(vkerr))"
+    assert _modules_after(listed, ["vkerr.oracle"]) == []
+    resolved = ("import vkerr; from vkerr import *; from vkerr import oracle; "
+                "assert all(getattr(vkerr, n) is getattr(oracle, n) is globals()[n] "
+                "for n in vkerr._ORACLE_NAMES)")
+    assert _modules_after(resolved, ["vkerr.oracle"]) == ["vkerr.oracle"]
 
 
 _SPIN_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")

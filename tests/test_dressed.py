@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -40,8 +39,8 @@ def columns_of(draws):
     Every draw sets gamma12_override (as random_params does) and no theta.
     """
     return ParameterColumns(**{
-        f.name: np.array([getattr(p, f.name) for p in draws])
-        for f in dataclasses.fields(ParameterColumns) if f.name != "theta"})
+        name: np.array([getattr(p, name) for p in draws])
+        for name in ParameterColumns._fields if name != "theta"})
 
 
 class TestDress:
@@ -255,7 +254,7 @@ def test_rows_match_scalar_formulas():
         b = dress(p)
         r = cavity_response(p, b)
         reference = (b, r, interference_terms(p, b, r), rate_set(p, b, r))
-        for block, ref in zip(vars(rows).values(), reference):
-            for name, value in vars(ref).items():
+        for block, ref in zip(rows, reference):
+            for name, value in ref._asdict().items():
                 got = getattr(block, name)[k]
                 assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), name

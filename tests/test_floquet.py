@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -202,13 +201,11 @@ class TestBatchedSolve:
         # only that row of the stack fails, its neighbours are untouched
         params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
         cs = coefficient_set(params)
-        undamped = dataclasses.replace(
-            cs, rates=dataclasses.replace(cs.rates, Gamma_plus=0.0))
+        undamped = cs._replace(rates=cs.rates._replace(Gamma_plus=0.0))
         rows, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 3))
         gamma_plus = rows.rates.Gamma_plus.copy()
         gamma_plus[1] = 0.0
-        stack = dataclasses.replace(
-            rows, rates=dataclasses.replace(rows.rates, Gamma_plus=gamma_plus))
+        stack = rows._replace(rates=rows.rates._replace(Gamma_plus=gamma_plus))
         resonant = cs.basis.lambda_1 - cs.basis.lambda_plus
         table = HarmonicTable(stack, [0.25, resonant, 0.35])
         z, failures = table.solve(3, -1)
@@ -308,8 +305,8 @@ def dense_singular(kernels):
 
 def replaced(coeffs, **fields):
     """``coeffs`` with coefficient fields replaced, whichever block holds them."""
-    return dataclasses.replace(coeffs, **{
-        name: dataclasses.replace(block, **{
+    return coeffs._replace(**{
+        name: block._replace(**{
             k: v for k, v in fields.items() if hasattr(block, k)})
         for name, block in (("basis", coeffs.basis),
                             ("interference", coeffs.interference),

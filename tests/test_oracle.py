@@ -114,6 +114,8 @@ class TestLiouvillian:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             FockTruncation(0)
+        with pytest.raises(ValueError):
+            FockTruncation(3)._replace(n_max=0)
 
 
 class TestLindbladSteadyState:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -90,8 +89,8 @@ class TestValidation:
             quiet_params(gamma12_override=value)
 
     def test_columns_reject_non_finite_override(self):
-        columns = dataclasses.replace(
-            ParameterColumns.along(quiet_params(), "g1", [1.0, 2.0, 3.0]),
+        columns = ParameterColumns.along(
+            quiet_params(), "g1", [1.0, 2.0, 3.0])._replace(
             gamma12_override=np.array([0.01, math.nan, math.inf]))
         errors = columns.errors()
         assert set(errors) == {1, 2}
@@ -124,6 +123,16 @@ class TestValidation:
         p = SystemParams(gamma1=0.02, gamma2=0.02, g1=1.0, g2=3.0,
                          kappa=100.0, omega21=40.0, omega_L_rabi=40.0)
         assert not p.advisory
+
+    def test_record_copy_validates(self):
+        # _replace builds through _make, which runs the constructor's checks
+        p = quiet_params()
+        with pytest.raises(ValueError, match="must be positive"):
+            p._replace(kappa=0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            SystemParams._make([-1.0] + list(p[1:]))
+        with pytest.warns(RegimeAdvisory):
+            p._replace(g1=50.0)
 
     def test_replace_swaps_cross_damping_convention(self):
         p = quiet_params(gamma12_override=0.02)
