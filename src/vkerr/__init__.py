@@ -21,18 +21,11 @@ import os
 if not {"OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT"} & os.environ.keys():
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
 
-from .dressed import (CavityResponse, CoefficientSet, DegenerateDressing,
-                      DressedBasis, InterferenceTerms, RateSet,
-                      cavity_response, coefficient_rows, coefficient_set,
-                      dress, interference_terms, rate_set)
-from .floquet import (HarmonicTable, SingularKernel, SingularSteadyState,
-                      SteadyState0, zeroth_order_steady_state)
-from .params import (ParameterColumns, ProbeGrid, RegimeAdvisory,
-                     SystemParams, effective_gamma12, load_config,
-                     probe_detuning_to_delta_p)
-from .susceptibility import (FeatureReport, Susceptibility, SweepResult,
-                             SweepRow, chi, find_features, sweep, write_csv,
-                             write_json)
+from . import dressed, floquet, params, susceptibility
+from .dressed import *
+from .floquet import *
+from .params import *
+from .susceptibility import *
 
 __version__ = "0.1.0"
 
@@ -43,21 +36,9 @@ _ORACLE_NAMES = (
     "DegenerateNullSpace", "NoLimitCycle", "NonHermitianGenerator",
     "lindblad_steady_state", "converged_steady_state", "time_domain_reference")
 
-__all__ = [
-    "__version__",
-    "SystemParams", "ParameterColumns", "ProbeGrid", "RegimeAdvisory",
-    "effective_gamma12", "probe_detuning_to_delta_p", "load_config",
-    "DressedBasis", "CavityResponse", "InterferenceTerms", "RateSet",
-    "CoefficientSet", "DegenerateDressing",
-    "dress", "cavity_response", "interference_terms", "rate_set",
-    "coefficient_set", "coefficient_rows",
-    "HarmonicTable", "SteadyState0",
-    "SingularKernel", "SingularSteadyState",
-    "zeroth_order_steady_state",
-    *_ORACLE_NAMES,
-    "Susceptibility", "SweepRow", "SweepResult", "FeatureReport",
-    "chi", "sweep", "find_features", "write_csv", "write_json",
-]
+# each module declares its public names once, in its own __all__
+__all__ = ["__version__", *params.__all__, *dressed.__all__, *floquet.__all__,
+           *_ORACLE_NAMES, *susceptibility.__all__]
 
 
 def __getattr__(name):

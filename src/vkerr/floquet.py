@@ -35,12 +35,10 @@ from .dressed import (CoefficientSet, DressedBasis, InterferenceTerms,
                       RateSet)
 
 __all__ = [
-    "STATE",
     "SingularSteadyState",
     "SingularKernel",
     "HarmonicTable",
     "SteadyState0",
-    "reduced_operators",
     "zeroth_order_steady_state",
 ]
 
@@ -214,13 +212,11 @@ class HarmonicTable:
             # outside the reachable cone: every source vanishes identically
             return self._zero, {}
         if (m, n) not in self._orders:
-            # bottom up through the orders (m, n) draws on; non-finite rows
-            # become failures, so numpy's warnings are not needed
+            # _solve_order reaches (m - 1, n +- 1) through here, so each
+            # order is solved once; non-finite rows become failures, so
+            # numpy's warnings are not needed
             with np.errstate(all="ignore"):
-                for k in range(m + 1):
-                    for j in range(max(n - m + k, -k), min(n + m - k, k) + 1, 2):
-                        if (k, j) not in self._orders:
-                            self._orders[k, j] = self._solve_order(k, j)
+                self._orders[m, n] = self._solve_order(m, n)
         return self._orders[m, n]
 
     def _kernel(self, n: int) -> tuple:

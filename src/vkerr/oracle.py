@@ -109,7 +109,9 @@ class LimitCycleRecord(NamedTuple):
 # ---------------------------------------------------------------------------
 
 # Above this estimate of cond_1 the trace-row system is treated as singular,
-# i.e. the Liouvillian null space as more than one-dimensional.
+# i.e. the Liouvillian null space as more than one-dimensional.  The
+# estimate read 4.3e-3 to 2.1e-2 of the true cond_1 over 25 Liouvillians
+# (5 parameter sets x n_max 1 to 8), so this trips near cond_1 ~ 5e11-2e12.
 _MAX_TRACE_ROW_COND = 1e10
 
 
@@ -174,8 +176,12 @@ def _null_state(L: np.ndarray, dim: int) -> np.ndarray:
     fixed right-hand sides share the factorization and give the lower bound
     ||A||_1 max ||x_k|| / ||b_k|| on the condition number; a singular or
     near-singular A means the null space is not one-dimensional.  The two
-    are chirps of the index k, sin(k^2) and cos(sqrt(2) k^2), which bound
-    cond_1 as closely as Gaussian vectors do without loading numpy.random.
+    are chirps of the index k, sin(k^2) and cos(sqrt(2) k^2): they bound
+    cond_1 as closely as Gaussian vectors do, without loading numpy.random,
+    but read only 4.3e-3 to 2.1e-2 of it, so _MAX_TRACE_ROW_COND = 1e10 on
+    the estimate trips near cond_1 ~ 5e11 to 2e12.  A raw solution whose
+    hermiticity defect (at unit trace) is above 1e-9, or an eigenvalue of
+    the symmetrized state below -1e-9, is no physical state and raises too.
     """
     A = L.copy()
     A[0] = np.eye(dim).reshape(-1)
@@ -193,9 +199,17 @@ def _null_state(L: np.ndarray, dim: int) -> np.ndarray:
         raise DegenerateNullSpace(
             f"trace-row system condition estimate {cond:.3e} above "
             f"{_MAX_TRACE_ROW_COND:g}: null space not one-dimensional")
-    rho = x[:, 0].reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    raw = x[:, 0].reshape(dim, dim)
+    # the defect of the solution itself: the symmetrized state has none
+    unit = raw / np.trace(raw)
+    herm = np.abs(unit - unit.conj().T).max()
+    rho = 0.5 * (raw + raw.conj().T)
     rho = rho / np.trace(rho).real
+    eigs = np.linalg.eigvalsh(rho)
+    if herm > 1e-9 or eigs.min() < -1e-9:
+        raise DegenerateNullSpace(
+            f"steady state not a physical state (herm {herm:.2e}, "
+            f"min eig {eigs.min():.2e})")
     return rho
 
 
@@ -203,15 +217,7 @@ def lindblad_steady_state(params: SystemParams,
                           trunc: FockTruncation) -> SteadyState0:
     """Probe-off steady state of the full model, reduced to the dressed atom."""
     dim = 3 * (trunc.n_max + 1)
-    L = liouvillian(params, trunc)
-    rho = _null_state(L, dim)
-
-    herm = np.abs(rho - rho.conj().T).max()
-    eigs = np.linalg.eigvalsh(rho)
-    if herm > 1e-9 or eigs.min() < -1e-9:
-        raise DegenerateNullSpace(
-            f"steady state not a physical state (herm {herm:.2e}, "
-            f"min eig {eigs.min():.2e})")
+    rho = _null_state(liouvillian(params, trunc), dim)
 
     # trace out the cavity: rho_atom[l, k] = sum_n rho[(l, n), (k, n)]
     dim_f = trunc.n_max + 1
@@ -255,9 +261,14 @@ def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTrun
 # time-domain limit cycle of the reduced equations
 # ---------------------------------------------------------------------------
 
-# Magnus steps keep h * rho(C) at or below this; the step count starts at
-# the smallest such multiple of n_samples and is doubled at most
-# _MAX_DOUBLINGS times.  Exponentials are taken _EXPM_CHUNK steps at a time.
+# The orbit is sampled at _N_SAMPLES points of a period, and the step count
+# is doubled until two successive orbits agree to _RTOL of the largest
+# element.  Magnus steps keep h * rho(C) at or below _MAX_STEP_PHASE; the
+# step count starts at the smallest such multiple of _N_SAMPLES and is
+# doubled at most _MAX_DOUBLINGS times.  Exponentials are taken _EXPM_CHUNK
+# steps at a time.
+_N_SAMPLES = 256
+_RTOL = 1e-10
 _MAX_STEP_PHASE = 2.0
 _MAX_DOUBLINGS = 4
 _EXPM_CHUNK = 1024
@@ -414,12 +425,11 @@ def _limit_cycle(maps: np.ndarray) -> np.ndarray:
 
 
 def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
-                          delta_p: float, n_samples: int = 256,
-                          rtol: float = 1e-10) -> LimitCycleRecord:
+                          delta_p: float) -> LimitCycleRecord:
     """Solve the reduced equations for their limit cycle and DFT it.
 
     The period map u -> Phi u + p comes from a Magnus propagator whose step
-    count is doubled until two successive orbits agree to ``rtol`` of the
+    count is doubled until two successive orbits agree to _RTOL of the
     largest element; the cycle is then u* = (1 - Phi)^{-1} p.  A first step
     count above _MAX_STEPS raises NoLimitCycle before any step is taken.
     """
@@ -428,18 +438,16 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
             raise ValueError(f"{name} must be finite, got {value!r}")
     if delta_p == 0.0:
         raise ValueError("delta_p must be non-zero for a well-defined period")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     period = 2.0 * math.pi / abs(delta_p)
     (C, S, Q), defect = _generator(coeffs, omega_p)
 
     def orbit_at(n_steps):
         return _limit_cycle(_sample_maps(C, S, Q, delta_p, period, n_steps,
-                                         n_samples))
+                                         _N_SAMPLES))
 
     rate = np.abs(np.linalg.eigvals(C[:8, :8])).max()
-    n_steps = n_samples * max(1, math.ceil(period * rate / (_MAX_STEP_PHASE
-                                                            * n_samples)))
+    n_steps = _N_SAMPLES * max(1, math.ceil(period * rate / (_MAX_STEP_PHASE
+                                                             * _N_SAMPLES)))
     if n_steps > _MAX_STEPS:
         raise NoLimitCycle(
             f"{n_steps} Magnus steps per period needed at delta_p "
@@ -449,15 +457,15 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
         n_steps *= 2
         orbit = orbit_at(n_steps)
         step_error = np.abs(orbit - coarse).max()
-        if step_error <= rtol * np.abs(orbit).max():
+        if step_error <= _RTOL * np.abs(orbit).max():
             break
         coarse = orbit
     else:
         raise NoLimitCycle(
-            f"step-doubling error {step_error:.3e} above rtol {rtol:g} "
+            f"step-doubling error {step_error:.3e} above rtol {_RTOL:g} "
             f"at {n_steps} steps per period")
 
-    sample_times = period * np.arange(n_samples) / n_samples
+    sample_times = period * np.arange(_N_SAMPLES) / _N_SAMPLES
     trajectory = {name: orbit[:, i] for i, name in enumerate(STATE)}
     trajectory["pp"] = 1.0 - trajectory["mm"] - trajectory["11"]
 

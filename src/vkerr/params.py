@@ -36,6 +36,10 @@ class RegimeAdvisory(UserWarning):
     """Parameters are outside kappa >> g1, g2 >> gamma1, gamma2."""
 
 
+# ">>" in the bad-cavity regime rule: kappa >= f g and g >= f gamma_max
+_REGIME_FACTOR = 3.0
+
+
 def _checked(cls):
     """Make the NamedTuple class ``cls`` run its ``_check`` on construction
     and on ``_replace``, which builds through ``_make``.  A NamedTuple class
@@ -71,7 +75,6 @@ class SystemParams(NamedTuple):
     delta_c: float = 0.0
     theta: float | None = None
     gamma12_override: float | None = None
-    regime_factor: float = 3.0
 
     def _check(self):
         for _, message, args in _broken_rules(self):
@@ -79,14 +82,14 @@ class SystemParams(NamedTuple):
         if self.advisory:
             warnings.warn(
                 "parameters violate kappa >> g1, g2 >> gamma1, gamma2 "
-                f"(factor {self.regime_factor:g}); adiabatic elimination "
+                f"(factor {_REGIME_FACTOR:g}); adiabatic elimination "
                 "may degrade", RegimeAdvisory, stacklevel=3)
 
     @property
     def advisory(self) -> bool:
-        """Outside kappa >> g >> gamma1, gamma2 by regime_factor, for each
+        """Outside kappa >> g >> gamma1, gamma2 by _REGIME_FACTOR, for each
         coupling g = g1, g2 that is not 0 (nothing to eliminate there)."""
-        f = self.regime_factor
+        f = _REGIME_FACTOR
         gamma_max = max(self.gamma1, self.gamma2)
         return not all(self.kappa >= f * g and g >= f * gamma_max
                        for g in (self.g1, self.g2) if g > 0.0)

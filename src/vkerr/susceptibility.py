@@ -57,21 +57,6 @@ class Susceptibility(NamedTuple):
     def chi3(self) -> complex:
         return complex(self.re_chi3, self.im_chi3)
 
-    @property
-    def ratio_31(self) -> float:
-        """Re chi3 / Im chi1; +-inf where the linear absorption vanishes."""
-        return _safe_ratio(self.re_chi3, self.im_chi1)
-
-    @property
-    def ratio_33(self) -> float:
-        return _safe_ratio(self.re_chi3, self.im_chi3)
-
-
-def _safe_ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.copysign(math.inf, num)
-    return num / den
-
 
 def chi(params: SystemParams, omega: float,
         coeffs: CoefficientSet | None = None) -> Susceptibility:
@@ -139,7 +124,7 @@ _RATIOS = {"ratio_31": ("re_chi3", "im_chi1"), "ratio_33": ("re_chi3", "im_chi3"
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``_safe_ratio`` on arrays: 0/0 is nan, x/0 is +-inf with the sign of x.
+    """num / den, where 0/0 is nan and x/0 is +-inf with the sign of x.
 
     A plain x / -0.0 would take the sign of the zero as well.
     """

@@ -108,7 +108,7 @@ class TestModes:
 
 
 _PARAMS = ["gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
-           "delta", "delta_c", "theta", "gamma12_override", "regime_factor"]
+           "delta", "delta_c", "theta", "gamma12_override"]
 _META = ["tool_version", "params", "gamma12"]
 _SWEEP_META = _META + ["axis", "fixed_omega", "n_rows", "n_failed"]
 _GRID = ["--start", "200.0", "--stop", "200.2", "--step", "0.1"]
@@ -366,6 +366,13 @@ def test_exported_names_resolve():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
     assert set(_BENCHMARK_NAMES) <= set(vkerr.__all__)
+    # the package exports exactly its modules' public names, each once
+    assert set(vkerr._ORACLE_NAMES) <= set(oracle.__all__)
+    union = ["__version__", *vkerr._ORACLE_NAMES,
+             *(name for module in (dressed, floquet, params, susceptibility)
+               for name in module.__all__)]
+    assert len(union) == len(set(union))
+    assert sorted(vkerr.__all__) == sorted(union)
 
 
 def _modules_after(code: str, prefixes) -> list:
@@ -394,7 +401,7 @@ def test_time_domain_oracle_loads_no_scipy():
     assert _modules_after(
         "import vkerr; vkerr.time_domain_reference("
         "vkerr.coefficient_set(vkerr.SystemParams(g1=1.0, g2=3.0)), "
-        "omega_p=1e-3, delta_p=2.0, n_samples=32)", ["scipy"]) == []
+        "omega_p=1e-3, delta_p=2.0)", ["scipy"]) == []
 
 
 def _runs(*argv) -> str:

@@ -147,6 +147,29 @@ class TestHarmonicStructure:
             for m, n in ((1, 0), (2, 1), (2, -1)):
                 assert element_rows(table, el, m, n)[0] == pytest.approx(0.0, abs=1e-300)
 
+    def test_each_order_and_kernel_built_once(self, sideband_params,
+                                              monkeypatch):
+        # chi reads orders (1, -1) and (3, -1); the memoized recursion solves
+        # each order in their cone once, and each kernel i n d - A0 once per n
+        solved, built = [], []
+        solve_order, kernel = HarmonicTable._solve_order, HarmonicTable._kernel
+
+        def solve_spy(self, m, n):
+            solved.append((m, n))
+            return solve_order(self, m, n)
+
+        def kernel_spy(self, n):
+            if n not in self._kernels:      # (2, 0) reuses the n = 0 kernel
+                built.append(n)
+            return kernel(self, n)
+
+        monkeypatch.setattr(HarmonicTable, "_solve_order", solve_spy)
+        monkeypatch.setattr(HarmonicTable, "_kernel", kernel_spy)
+        chi(sideband_params, 200.25)
+        assert sorted(solved) == [(0, 0), (1, -1), (1, 1), (2, -2), (2, 0),
+                                  (3, -1)]
+        assert sorted(built) == [-2, -1, 0, 1]
+
     def test_hermiticity_and_trace(self, sideband_params):
         cs = coefficient_set(sideband_params)
         for dp in (0.25, -0.7, 3.1):

@@ -183,6 +183,21 @@ class TestNullState:
         with pytest.raises(DegenerateNullSpace, match="condition estimate"):
             _null_state(L, 6)
 
+    def test_non_hermitian_solution_is_typed(self, sideband_params,
+                                             monkeypatch):
+        # rho_{(0,0),(2,0)} damped 1e-3 faster than its conjugate: L no
+        # longer maps Hermitian states onto Hermitian ones, and symmetrizing
+        # the solution before measuring its defect would hide that
+        def skewed(params, trunc):
+            L = liouvillian(params, trunc)
+            k = 2 * (trunc.n_max + 1)   # row-major vec index of that element
+            L[k, k] -= 1e-3
+            return L
+
+        monkeypatch.setattr("vkerr.oracle.liouvillian", skewed)
+        with pytest.raises(DegenerateNullSpace, match="not a physical state"):
+            lindblad_steady_state(sideband_params, FockTruncation(2))
+
     def test_unique_state_of_a_single_sink(self):
         L = _toy_liouvillian(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
         rho = _null_state(L, 3)
@@ -349,9 +364,7 @@ class TestTimeDomainReference:
     @pytest.mark.parametrize("kwargs, name", [
         ({"delta_p": math.nan}, "delta_p"), ({"delta_p": math.inf}, "delta_p"),
         ({"omega_p": math.nan}, "omega_p"), ({"omega_p": math.inf}, "omega_p"),
-        ({"n_samples": 0}, "n_samples"),
-    ], ids=["delta_p-nan", "delta_p-inf", "omega_p-nan", "omega_p-inf",
-            "n_samples-0"])
+    ], ids=["delta_p-nan", "delta_p-inf", "omega_p-nan", "omega_p-inf"])
     def test_invalid_input_names_the_argument(self, gentle_params, kwargs,
                                               name):
         cs = coefficient_set(gentle_params)
@@ -366,12 +379,14 @@ class TestTimeDomainReference:
         with pytest.raises(NoLimitCycle, match="Magnus steps"):
             time_domain_reference(cs, omega_p=1e-3, delta_p=1e-9)
 
-    def test_no_limit_cycle_on_unmeetable_tolerance(self, gentle_params):
+    def test_no_limit_cycle_on_unmeetable_tolerance(self, gentle_params,
+                                                    monkeypatch):
         # step doubling can never reach rtol 0, so the doubling cap fires
+        monkeypatch.setattr(oracle, "_N_SAMPLES", 32)
+        monkeypatch.setattr(oracle, "_RTOL", 0.0)
         cs = coefficient_set(gentle_params)
         with pytest.raises(NoLimitCycle, match="step-doubling"):
-            time_domain_reference(cs, omega_p=0.0, delta_p=2.0,
-                                  n_samples=32, rtol=0.0)
+            time_domain_reference(cs, omega_p=0.0, delta_p=2.0)
 
 
 class TestAffineGenerator:

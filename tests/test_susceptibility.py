@@ -226,6 +226,20 @@ class TestSweep:
             assert abs(a.chi3 - b.chi3) < 1e-6
 
 
+def ratio(num, den):
+    """Scalar reference for the ratio columns: 0/0 is nan, and x/0 is +-inf
+    with the sign of x."""
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
+    return num / den
+
+
+def ratios(r):
+    """(ratio_31, ratio_33) of a Susceptibility: Re chi3 / Im chi1 and
+    Re chi3 / Im chi3."""
+    return ratio(r.re_chi3, r.im_chi1), ratio(r.re_chi3, r.im_chi3)
+
+
 def json_payload(result, extra=None):
     """The sweep JSON as a payload for json.dump: the writer's reference."""
     rows = []
@@ -234,12 +248,13 @@ def json_payload(result, extra=None):
             rows.append({"axis": row.axis_value, "error": row.error})
         else:
             r = row.result
+            ratio_31, ratio_33 = ratios(r)
             rows.append({
                 "axis": row.axis_value,
                 "re_chi1": r.re_chi1, "im_chi1": r.im_chi1,
                 "re_chi3": r.re_chi3, "im_chi3": r.im_chi3,
-                "ratio_31": r.ratio_31 if math.isfinite(r.ratio_31) else None,
-                "ratio_33": r.ratio_33 if math.isfinite(r.ratio_33) else None,
+                "ratio_31": ratio_31 if math.isfinite(ratio_31) else None,
+                "ratio_33": ratio_33 if math.isfinite(ratio_33) else None,
             })
     return {"metadata": result_metadata(result, extra), "rows": rows}
 
@@ -258,7 +273,7 @@ def csv_text(result):
         else:
             writer.writerow([cell(v) for v in (
                 row.axis_value, r.re_chi1, r.im_chi1, r.re_chi3, r.im_chi3,
-                r.ratio_31, r.ratio_33)])
+                *ratios(r))])
     return buf.getvalue()
 
 
@@ -475,12 +490,13 @@ FAILED_ROW = st.builds(lambda x, text: SweepRow(axis_value=x, error=text),
 def test_block_writers_equal_per_value_references(tmp_path_factory, rows):
     # the block writers against the per-value references above: f"{v:.8e}"
     # through csv.writer, and float.__repr__ through json.dump; the ratios
-    # of the references come from Susceptibility, one row at a time
+    # of the references come from the scalar ``ratio``, one row at a time
     result = result_of(rows, axis_name="g1", params=quiet_params(),
                        fixed_omega=200.25)
-    for name in ("ratio_31", "ratio_33"):   # the signed inf the writers blank
+    # the columns hold the signed inf that the writers blank
+    for k, name in enumerate(("ratio_31", "ratio_33")):
         np.testing.assert_array_equal(result.column(name), [
-            math.nan if r.result is None else getattr(r.result, name)
+            math.nan if r.result is None else ratios(r.result)[k]
             for r in rows])
     buf = io.StringIO()
     write_csv(result, buf)
