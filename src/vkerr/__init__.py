@@ -29,8 +29,9 @@ from .susceptibility import *
 
 __version__ = "0.1.0"
 
-# served by __getattr__: only the tests and oracle-compare (which imports
-# vkerr.oracle when it runs) use the oracles; no other command compiles it
+# vkerr.oracle's __all__, served by __getattr__: only the tests and
+# oracle-compare (which imports vkerr.oracle when it runs) use the oracles;
+# no other command compiles it
 _ORACLE_NAMES = (
     "FockTruncation", "LimitCycleRecord", "NonConvergedTruncation",
     "DegenerateNullSpace", "NoLimitCycle", "NonHermitianGenerator",

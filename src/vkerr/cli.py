@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .dressed import coefficient_set
 from .floquet import zeroth_order_steady_state
-from .params import ProbeGrid, SystemParams, load_config
+from .params import SystemParams, axis_grid, load_config
 from .susceptibility import (chi, find_features, metadata, result_metadata,
                              sweep, write_csv, write_json)
 
@@ -160,7 +160,7 @@ def _sweep_from_args(args, params=None):
         raise ValueError("need --step")
     if args.start is None or args.stop is None:
         raise ValueError("need --start and --stop")
-    grid = ProbeGrid.from_range(args.start, args.stop, args.step)
+    grid = axis_grid(args.start, args.stop, args.step)
     return sweep(params, grid, axis_name=args.axis, omega=args.omega)
 
 

@@ -37,12 +37,7 @@ __all__ = [
     "InterferenceTerms",
     "RateSet",
     "CoefficientSet",
-    "dress",
-    "cavity_response",
-    "interference_terms",
-    "rate_set",
     "coefficient_set",
-    "coefficient_rows",
 ]
 
 

@@ -37,7 +37,6 @@ from .dressed import (CoefficientSet, DressedBasis, InterferenceTerms,
 __all__ = [
     "SingularSteadyState",
     "SingularKernel",
-    "HarmonicTable",
     "SteadyState0",
     "zeroth_order_steady_state",
 ]

@@ -36,19 +36,8 @@ from .dressed import CoefficientSet, dress
 from .floquet import STATE, SteadyState0, reduced_operators
 from .params import SystemParams, _checked, effective_gamma12
 
-__all__ = [
-    "NonConvergedTruncation",
-    "DegenerateNullSpace",
-    "NoLimitCycle",
-    "NonHermitianGenerator",
-    "FockTruncation",
-    "LimitCycleRecord",
-    "atom_operators",
-    "liouvillian",
-    "lindblad_steady_state",
-    "converged_steady_state",
-    "time_domain_reference",
-]
+# the package lists these names to load this module on first use
+from . import _ORACLE_NAMES as __all__
 
 
 class NonConvergedTruncation(RuntimeError):
@@ -303,7 +292,10 @@ def _generator(coeffs: CoefficientSet, omega_p: float):
     to that matrix's largest entry; above _MAX_HERMITICITY_DEFECT it raises
     NonHermitianGenerator.
     """
-    a0, a_plus, a_minus = reduced_operators(coeffs)[0]
+    stack = reduced_operators(coeffs)
+    if len(stack) != 1:
+        raise ValueError(f"need one coefficient row, got {len(stack)}")
+    a0, a_plus, a_minus = stack[0]
     ops = np.zeros((3, 9, 9), dtype=complex)
     ops[:, :8] = a0, a_plus + a_minus, 1j * (a_plus - a_minus)
     ops = _T @ ops @ _T_INV
@@ -428,6 +420,7 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
                           delta_p: float) -> LimitCycleRecord:
     """Solve the reduced equations for their limit cycle and DFT it.
 
+    ``coeffs`` holds one parameter set: numbers, or arrays of one row.
     The period map u -> Phi u + p comes from a Magnus propagator whose step
     count is doubled until two successive orbits agree to _RTOL of the
     largest element; the cycle is then u* = (1 - Phi)^{-1} p.  A first step

@@ -17,17 +17,16 @@ import json
 import math
 import operator
 import warnings
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SystemParams",
-    "ParameterColumns",
-    "ProbeGrid",
     "RegimeAdvisory",
+    "axis_grid",
     "effective_gamma12",
-    "probe_detuning_to_delta_p",
     "load_config",
 ]
 
@@ -95,11 +94,11 @@ class SystemParams(NamedTuple):
                        for g in (self.g1, self.g2) if g > 0.0)
 
     def replace(self, **kwargs) -> "SystemParams":
-        # _replace without RegimeAdvisory; one cross-damping convention
-        # displaces the other
-        if "theta" in kwargs:
+        # _replace without RegimeAdvisory; a cross-damping convention that
+        # is set displaces the other
+        if kwargs.get("theta") is not None:
             kwargs.setdefault("gamma12_override", None)
-        elif "gamma12_override" in kwargs:
+        elif kwargs.get("gamma12_override") is not None:
             kwargs["theta"] = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeAdvisory)
@@ -129,7 +128,7 @@ def _broken_rules(p):
         broken = getattr(p, name) < 0
         if some(broken):
             yield broken, "g1, g2 and omega_L_rabi must be non-negative", ()
-    for name in ParameterColumns._fields:
+    for name in SystemParams._fields:
         value = getattr(p, name)
         if value is not None and some(broken := not_(isfinite(value))):
             yield broken, f"{name} must be finite", ()
@@ -146,7 +145,8 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-class ParameterColumns(NamedTuple):
+class ParameterColumns(namedtuple("ParameterColumns", SystemParams._fields,
+                                  defaults=(None, None))):
     """The SystemParams fields along a row axis: many parameter sets at once.
 
     Every field is a 1-D float array with one entry per row; theta and
@@ -155,17 +155,7 @@ class ParameterColumns(NamedTuple):
     SystemParams per row.
     """
 
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    kappa: np.ndarray
-    omega21: np.ndarray
-    omega_L_rabi: np.ndarray
-    delta: np.ndarray
-    delta_c: np.ndarray
-    theta: np.ndarray | None = None
-    gamma12_override: np.ndarray | None = None
+    __slots__ = ()
 
     @classmethod
     def along(cls, params: SystemParams, axis_name: str | None = None,
@@ -201,41 +191,26 @@ class ParameterColumns(NamedTuple):
         return errors
 
 
-class ProbeGrid:
-    """Strictly increasing grid of probe detunings omega = omega_p - omega_1."""
+def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop; never past it beyond round-off.
 
-    __slots__ = ("omega_values",)
-
-    def __init__(self, omega_values):
-        values = np.fromiter(omega_values, dtype=float)
-        if not len(values):
-            raise ValueError("probe grid must not be empty")
-        if not np.isfinite(values).all():
-            raise ValueError("probe grid values must be finite")
-        if not (values[1:] > values[:-1]).all():
-            raise ValueError("probe grid must be strictly increasing")
-        self.omega_values = tuple(values.tolist())
-
-    @classmethod
-    def from_range(cls, start: float, stop: float, step: float) -> "ProbeGrid":
-        """start, start + step, ... up to stop; never past it beyond round-off.
-
-        A stop that the steps reach only up to round-off is the last point,
-        so a range that is a multiple of the step keeps both ends.
-        """
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError("probe grid values must be finite")
-        if step <= 0:
-            raise ValueError("step must be positive")
-        n = math.floor((stop - start) / step + 1e-9)
-        # float64 products and sums: the bits of start + step * i in Python
-        return cls(start + step * np.arange(n + 1))
-
-    def __len__(self):
-        return len(self.omega_values)
-
-    def __iter__(self):
-        return iter(self.omega_values)
+    A stop that the steps reach only up to round-off is the last point,
+    so a range that is a multiple of the step keeps both ends.  The grid
+    must not be empty and must be strictly increasing, which round-off can
+    break where the step is below the spacing of floats (1e17 + 1.0).
+    """
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("probe grid values must be finite")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    n = math.floor((stop - start) / step + 1e-9)
+    # float64 products and sums: the bits of start + step * i in Python
+    values = start + step * np.arange(n + 1)
+    if not len(values):
+        raise ValueError("probe grid must not be empty")
+    if not (values[1:] > values[:-1]).all():
+        raise ValueError("probe grid must be strictly increasing")
+    return values
 
 
 def effective_gamma12(params):
@@ -282,7 +257,5 @@ def load_config(path) -> SystemParams:
         number = type(value) in (int, float)
         if not (number or value is None and SystemParams._field_defaults[key] is None):
             raise ValueError(f"{path}: {key} must be a number, got {json.dumps(value)}")
-    if raw.get("theta") is not None and raw.get("gamma12_override") is not None:
-        raise ValueError(f"{path}: theta and gamma12_override are mutually exclusive")
     return SystemParams(**{key: None if value is None else float(value)
                            for key, value in raw.items()})

@@ -36,8 +36,8 @@ __all__ = [
     "write_json",
 ]
 
-SWEEPABLE = ("omega", "g1", "g2", "kappa", "gamma1", "gamma2",
-             "omega21", "omega_L_rabi", "delta", "delta_c", "theta")
+SWEEPABLE = ("omega", *(name for name in SystemParams._fields
+                        if name != "gamma12_override"))
 
 CSV_COLUMNS = ("axis", "re_chi1", "im_chi1", "re_chi3", "im_chi3",
                "ratio_31", "ratio_33")
@@ -182,7 +182,7 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
           omega: float | None = None) -> SweepResult:
     """Evaluate chi across an axis; failed rows are recorded, not fatal.
 
-    ``values`` is a ProbeGrid or any iterable of axis values.  For a
+    ``values`` is any iterable of axis values, e.g. an ``axis_grid``.  For a
     parameter axis the probe detuning ``omega`` must be given and is held
     fixed; an omega sweep reads omega off its axis and takes none.  All rows
     are solved as one batch, straight into the columns of the SweepResult;

@@ -7,10 +7,11 @@ import time
 
 import numpy as np
 
-from vkerr import (FockTruncation, HarmonicTable, ProbeGrid, chi,
-                   coefficient_rows, coefficient_set, converged_steady_state,
-                   lindblad_steady_state, sweep, time_domain_reference,
-                   zeroth_order_steady_state)
+from vkerr import (FockTruncation, axis_grid, chi, coefficient_set,
+                   converged_steady_state, lindblad_steady_state, sweep,
+                   time_domain_reference, zeroth_order_steady_state)
+from vkerr.dressed import cavity_response, coefficient_rows, dress
+from vkerr.floquet import HarmonicTable
 
 from conftest import record_criterion
 from test_dressed import columns_of, random_params
@@ -21,7 +22,7 @@ ANALYTIC_REF = {"rho_11": 0.2072, "rho_pp": 0.2409, "rho_mm": 0.5520,
 EXACT_REF = {"rho_11": 0.2082, "rho_pp": 0.2375, "rho_mm": 0.5543,
              "rho_m1": -0.0093 - 0.1755j}
 
-WINDOW = ProbeGrid.from_range(190.0, 210.0, 0.005)
+WINDOW = axis_grid(190.0, 210.0, 0.005)
 
 
 def _interp_zero_crossings(xs, ys):
@@ -134,7 +135,7 @@ def test_criterion_5_coupling_sweep_feature(sideband_params):
 
 
 def test_criterion_6_ratio_peaks(sideband_params):
-    grid = ProbeGrid.from_range(199.0, 201.5, 0.005)
+    grid = axis_grid(199.0, 201.5, 0.005)
 
     def ratios(params):
         result = sweep(params, grid)
@@ -233,7 +234,6 @@ def test_criterion_9_property_suites(sideband_params):
     assert dev8 <= 0.02 * dev6
 
     # cavity filter maxima sit at the dressed emission frequencies
-    from vkerr import cavity_response, dress
     checked = 0
     draws = 0
     while checked < 100 and draws < 500:

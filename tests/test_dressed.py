@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkerr import (DegenerateDressing, ParameterColumns, SystemParams,
-                   cavity_response, coefficient_rows, coefficient_set, dress,
-                   effective_gamma12, interference_terms, rate_set)
-from vkerr.params import RegimeAdvisory
+from vkerr import (DegenerateDressing, RegimeAdvisory, SystemParams,
+                   coefficient_set, effective_gamma12)
+from vkerr.dressed import (cavity_response, coefficient_rows, dress,
+                           interference_terms, rate_set)
+from vkerr.params import ParameterColumns
 
 
 def quiet_params(**kwargs):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vkerr import (CoefficientSet, HarmonicTable, ParameterColumns,
-                   SingularKernel, SingularSteadyState, chi, coefficient_rows,
+from vkerr import (CoefficientSet, SingularKernel, SingularSteadyState, chi,
                    coefficient_set, zeroth_order_steady_state)
-from vkerr.floquet import _REL_TOL, _WRITTEN, STATE, TRACE, reduced_operators
+from vkerr.dressed import coefficient_rows
+from vkerr.floquet import (_REL_TOL, _WRITTEN, STATE, TRACE, HarmonicTable,
+                           reduced_operators)
+from vkerr.params import ParameterColumns
 
 from test_dressed import columns_of, quiet_params, random_params
 

@@ -8,11 +8,12 @@ from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
                    coefficient_set, converged_steady_state,
                    lindblad_steady_state, oracle, time_domain_reference,
                    zeroth_order_steady_state)
-from vkerr.floquet import STATE, reduced_operators
+from vkerr.dressed import coefficient_rows
+from vkerr.floquet import STATE, HarmonicTable, reduced_operators
 from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
                           _magnus_exponents, _null_state, _sample_maps,
                           atom_operators, liouvillian)
-from vkerr.params import effective_gamma12
+from vkerr.params import ParameterColumns, effective_gamma12
 
 from test_dressed import quiet_params, random_params
 from test_floquet import _reduced_rhs, element_rows
@@ -260,7 +261,6 @@ class TestTimeDomainReference:
 
     def test_first_harmonic_matches_recursion(self, gentle_params,
                                               gentle_cycle):
-        from vkerr import HarmonicTable
         cs = coefficient_set(gentle_params)
         wp, dp = gentle_cycle.omega_p, gentle_cycle.delta_p
         table = HarmonicTable(cs, dp)
@@ -273,7 +273,6 @@ class TestTimeDomainReference:
     def test_single_element_first_harmonic(self, sideband_params):
         # the small off-resonant rho_{1+} element on its own, DFT amplitude
         # divided by the probe strength
-        from vkerr import HarmonicTable
         cs = coefficient_set(sideband_params)
         wp, dp = 1e-3, 0.25
         rec = time_domain_reference(cs, omega_p=wp, delta_p=dp)
@@ -371,6 +370,14 @@ class TestTimeDomainReference:
         args = {"omega_p": 1e-3, "delta_p": 0.2, **kwargs}
         with pytest.raises(ValueError, match=name):
             time_domain_reference(cs, **args)
+
+    def test_multi_row_coefficients_rejected(self, gentle_params):
+        # the oracle integrates one parameter set; a stack of rows is not
+        # read as its first row
+        rows, _ = coefficient_rows(
+            ParameterColumns.along(gentle_params, "g1", [1.0, 2.0]))
+        with pytest.raises(ValueError, match="one coefficient row, got 2"):
+            time_domain_reference(rows, omega_p=1e-3, delta_p=0.2)
 
     def test_step_budget_checked_before_stepping(self, gentle_params):
         # a period of 6e9 would take ~1e12 Magnus steps; the step count is

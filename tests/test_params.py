@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vkerr import (ParameterColumns, ProbeGrid, RegimeAdvisory, SystemParams,
-                   effective_gamma12, load_config, probe_detuning_to_delta_p)
+from vkerr import (RegimeAdvisory, SystemParams, axis_grid, effective_gamma12,
+                   load_config)
+from vkerr.params import ParameterColumns, probe_detuning_to_delta_p
 
 rates = st.floats(min_value=1e-3, max_value=10.0)
 angles = st.floats(min_value=0.0, max_value=math.pi)
@@ -139,12 +140,20 @@ class TestValidation:
         q = p.replace(theta=0.5)
         assert q.gamma12_override is None and q.theta == 0.5
 
+    def test_replace_with_none_keeps_the_other_convention(self):
+        # clearing one convention leaves the one that is set
+        assert quiet_params(gamma12_override=0.05).replace(
+            theta=None).gamma12_override == 0.05
+        assert quiet_params(theta=0.5).replace(gamma12_override=None).theta == 0.5
+
 
 class TestProbeGrid:
+    """axis_grid, the grid of every sweep axis."""
+
     def test_from_range(self):
-        g = ProbeGrid.from_range(190.0, 210.0, 0.5)
+        g = axis_grid(190.0, 210.0, 0.5)
         assert len(g) == 41
-        assert g.omega_values[0] == 190.0 and g.omega_values[-1] == 210.0
+        assert g[0] == 190.0 and g[-1] == 210.0
 
     @pytest.mark.parametrize("start, stop, step, last, count", [
         (199.0, 201.5, 0.7, 199.0 + 3 * 0.7, 4),
@@ -155,21 +164,18 @@ class TestProbeGrid:
     def test_from_range_stops_at_stop(self, start, stop, step, last, count):
         # a step that does not divide the range ends on the last point
         # before stop; a multiple of the step keeps stop itself
-        g = ProbeGrid.from_range(start, stop, step)
-        assert len(g) == count and g.omega_values[-1] == last
-        assert g.omega_values[-1] <= stop
+        g = axis_grid(start, stop, step)
+        assert len(g) == count and g[-1] == last
+        assert g[-1] <= stop
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            ProbeGrid([1.0, 1.0, 2.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ProbeGrid([1.0, math.nan])
+        # a step below the spacing of floats at 1e17 (16) repeats points
+        with pytest.raises(ValueError, match="^probe grid must be strictly increasing$"):
+            axis_grid(1e17, 1e17 + 64, 1.0)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ProbeGrid([])
+        with pytest.raises(ValueError, match="^probe grid must not be empty$"):
+            axis_grid(2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("start, stop, step", [
         (math.nan, 210.0, 0.5), (-math.inf, 210.0, 0.5),
@@ -178,7 +184,7 @@ class TestProbeGrid:
     ])
     def test_from_range_rejects_non_finite(self, start, stop, step):
         with pytest.raises(ValueError, match="^probe grid values must be finite$"):
-            ProbeGrid.from_range(start, stop, step)
+            axis_grid(start, stop, step)
 
 
 class TestConfig:

@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vkerr import (DegenerateDressing, HarmonicTable, SingularKernel,
-                   SingularSteadyState, chi, coefficient_set, sweep)
+from vkerr import (DegenerateDressing, SingularKernel, SingularSteadyState,
+                   chi, coefficient_set, sweep)
+from vkerr.floquet import HarmonicTable
 from vkerr.susceptibility import SWEEPABLE
 
 from test_dressed import quiet_params, random_params

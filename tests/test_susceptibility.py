@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkerr import (DegenerateDressing, ProbeGrid, SingularKernel,
-                   SingularSteadyState, SweepResult, SweepRow, Susceptibility,
-                   chi, coefficient_set, find_features, sweep, write_csv,
-                   write_json)
+from vkerr import (DegenerateDressing, SingularKernel, SingularSteadyState,
+                   SweepResult, SweepRow, Susceptibility, axis_grid, chi,
+                   coefficient_set, find_features, sweep, write_csv, write_json)
 from vkerr.susceptibility import result_metadata
 
 from test_dressed import quiet_params
@@ -37,7 +36,7 @@ class TestChi:
         assert chi(p, 200.0).im_chi1 > 0.0
 
     def test_transparency_at_kerr_maximum(self, sideband_params):
-        result = sweep(sideband_params, ProbeGrid.from_range(199.5, 201.0, 0.005))
+        result = sweep(sideband_params, axis_grid(199.5, 201.0, 0.005))
         report = find_features(result)
         # the Kerr peak coexists with a nonlinear-absorption zero and
         # negligible linear absorption
@@ -121,7 +120,7 @@ class TestSweep:
             sideband_params.replace(kappa=150.0), 200.25)
 
     def test_omega_sweep_matches_pointwise(self, sideband_params):
-        grid = ProbeGrid.from_range(200.0, 200.5, 0.25)
+        grid = axis_grid(200.0, 200.5, 0.25)
         result = sweep(sideband_params, grid)
         for row in result.rows:
             assert row.result == chi(sideband_params, row.axis_value)
@@ -131,12 +130,12 @@ class TestSweep:
                                                        size):
         # the shared n = 0 kernel is factored once with every row as a
         # right-hand side; each row still equals the one-row chi bitwise
-        grid = ProbeGrid(np.linspace(199.0, 201.0, size))
+        grid = np.linspace(199.0, 201.0, size)
         result = sweep(sideband_params, grid)
         assert len(result) == size and result.n_failed == 0
         rows = range(size) if size < 100 else range(0, size, 97)
         for i in rows:
-            point = chi(sideband_params, grid.omega_values[i])
+            point = chi(sideband_params, grid[i])
             assert (result.re_chi1[i], result.im_chi1[i], result.re_chi3[i],
                     result.im_chi3[i]) == (point.re_chi1, point.im_chi1,
                                            point.re_chi3, point.im_chi3)
@@ -336,7 +335,7 @@ class TestFindFeatures:
 
     def test_axis_direction_does_not_change_features(self, sideband_params):
         # the fig3b window swept upward and downward finds the same features
-        grid = np.array(ProbeGrid.from_range(199.0, 201.5, 0.005).omega_values)
+        grid = axis_grid(199.0, 201.5, 0.005)
         up, down = (find_features(sweep(sideband_params, values))
                     for values in (grid, grid[::-1]))
         assert sorted(down.im_chi3_zeros) == pytest.approx(
@@ -378,7 +377,7 @@ class TestFindFeatures:
 
 class TestWriters:
     def test_csv_format(self, tmp_path, sideband_params):
-        result = sweep(sideband_params, ProbeGrid.from_range(200.0, 200.2, 0.1))
+        result = sweep(sideband_params, axis_grid(200.0, 200.2, 0.1))
         out = tmp_path / "rows.csv"
         write_csv(result, out)
         with open(out) as f:
@@ -422,7 +421,7 @@ class TestWriters:
         assert swept.n_failed == 2 and "\r\n,,,,,,\r\n" in csv_text(swept)
 
     def test_reruns_byte_identical(self, tmp_path, sideband_params):
-        result = sweep(sideband_params, ProbeGrid.from_range(200.0, 200.2, 0.1))
+        result = sweep(sideband_params, axis_grid(200.0, 200.2, 0.1))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(result, a)
         write_csv(result, b)
@@ -459,7 +458,7 @@ class TestWriters:
             assert out.read_bytes() == ref.read_bytes()
 
     def test_json_metadata(self, tmp_path, sideband_params):
-        result = sweep(sideband_params, ProbeGrid.from_range(200.0, 200.1, 0.1))
+        result = sweep(sideband_params, axis_grid(200.0, 200.1, 0.1))
         out = tmp_path / "rows.json"
         write_json(result, out)
         payload = json.loads(out.read_text())
