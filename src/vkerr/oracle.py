@@ -3,12 +3,14 @@
 Two independent checks live here, on numpy alone:
 
 * ``lindblad_steady_state`` solves the full atom + cavity master equation
-  (probe off) on a truncated Fock space: the dense Liouvillian, built from
-  the effective Hamiltonian plus one jump term per decay channel, with one
-  diagonal row replaced by the trace condition, is solved by one LU
-  factorization.  It then traces out the cavity and rotates to the dressed
-  basis.  It shares nothing with the reduced dynamics except the two
-  mixing amplitudes (c, s).
+  (probe off) on a truncated Fock space.  It holds a Hermitian rho as the
+  real matrix Y = Re rho + Im rho, in which the equation is real-linear:
+  the dense real generator is filled by index from H and the jump
+  operators, one diagonal row is overwritten in place by the trace
+  condition, and one real LU factorization solves it.  The state is then
+  checked against the master equation in operator form, traced over the
+  cavity and rotated to the dressed basis.  It shares nothing with the
+  reduced dynamics except the two mixing amplitudes (c, s).
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
@@ -99,38 +101,36 @@ class LimitCycleRecord(NamedTuple):
 
 # Above this estimate of cond_1 the trace-row system is treated as singular,
 # i.e. the Liouvillian null space as more than one-dimensional.  The
-# estimate read 4.3e-3 to 2.1e-2 of the true cond_1 over 25 Liouvillians
-# (5 parameter sets x n_max 1 to 8), so this trips near cond_1 ~ 5e11-2e12.
+# estimate read 3.1e-2 to 6.2e-1 of the true cond_1 over 25 generators
+# (5 parameter sets x n_max 1, 2, 4, 6, 8), so this trips near a true
+# cond_1 of 1.6e10 to 3.2e11.
 _MAX_TRACE_ROW_COND = 1e10
 
 
 def atom_operators(n_max: int):
     """|l><k| atomic operators and the annihilation operator on atom x Fock."""
     dim_f = n_max + 1
-    id_f = np.eye(dim_f)
+    shape = (3 * dim_f, 3 * dim_f)
     ops = {}
     for l in range(3):
         for k in range(3):
-            m = np.zeros((3, 3))
-            m[l, k] = 1.0
-            ops[(l, k)] = np.kron(m, id_f)
-    a_f = np.diag(np.sqrt(np.arange(1, dim_f)), k=1)
-    a = np.kron(np.eye(3), a_f)
-    return ops, a
+            op = np.zeros((3, dim_f, 3, dim_f))
+            op[l, :, k, :] = np.eye(dim_f)
+            ops[(l, k)] = op.reshape(shape)
+    a = np.zeros((3, dim_f, 3, dim_f))
+    a[range(3), :, range(3), :] = np.diag(np.sqrt(np.arange(1, dim_f)), k=1)
+    return ops, a.reshape(shape)
 
 
-def liouvillian(params: SystemParams, trunc: FockTruncation) -> np.ndarray:
-    """Dense probe-free Liouvillian of the full master equation.
+def full_model(params: SystemParams, trunc: FockTruncation):
+    """Probe-free H and jump list [(rate, L1, L2), ...] on atom x Fock.
 
-    Row-major vectorization: vec(rho)[i*d+j] = rho[i, j].  With the probe
-    off the generator is time independent in the drive frame.  Each jump
-    pair (L1, L2) at rate gamma adds 2 gamma L1 rho L2+ and its share of
-    the anticommutator with K = sum gamma L2+ L1.  K is Hermitian (the
-    cross pair enters in both orders), so with H_eff = H - i K the rest is
-    -i H_eff rho + i rho H_eff+, and rho H_eff+ vectorizes to I x conj(H_eff).
+    The master equation reads rho' = K rho + rho K+ + sum 2 rate L1 rho L2+
+    with K = -i H - sum rate L2+ L1.  The cross-damping pair enters in both
+    orders, so that sum is Hermitian.  H and every L are real matrices.
     """
     ops, a = atom_operators(trunc.n_max)
-    ad = a.conj().T
+    ad = a.T
     g12 = effective_gamma12(params)
 
     H = (params.delta * ops[(2, 2)]
@@ -146,67 +146,110 @@ def liouvillian(params: SystemParams, trunc: FockTruncation) -> np.ndarray:
     if g12 != 0.0:
         jumps += [(g12, ops[(0, 1)], ops[(0, 2)]),
                   (g12, ops[(0, 2)], ops[(0, 1)])]
-    h_eff = H - 1j * sum(rate * (L2.conj().T @ L1) for rate, L1, L2 in jumps)
-
-    eye = np.eye(H.shape[0])
-    L = np.kron(-1j * h_eff, eye)
-    L += np.kron(eye, 1j * h_eff.conj())
-    for rate, L1, L2 in jumps:
-        L += np.kron(2.0 * rate * L1, L2.conj())
-    return L
+    return H, jumps
 
 
-def _null_state(L: np.ndarray, dim: int) -> np.ndarray:
-    """Unique trace-one steady state of L, by one LU solve.
+def liouvillian(H: np.ndarray, jumps: list) -> np.ndarray:
+    """Real generator R, d^2 x d^2, of the master equation of ``full_model``.
 
-    The diagonal rows of a trace-preserving L sum to zero, so rho_00's
-    equation is redundant and its row is replaced by the trace condition
-    vec(I) . x = 1 (Johansson, Nation & Nori, CPC 184, 1234 (2013)).  Two
-    fixed right-hand sides share the factorization and give the lower bound
-    ||A||_1 max ||x_k|| / ||b_k|| on the condition number; a singular or
-    near-singular A means the null space is not one-dimensional.  The two
-    are chirps of the index k, sin(k^2) and cos(sqrt(2) k^2): they bound
-    cond_1 as closely as Gaussian vectors do, without loading numpy.random,
-    but read only 4.3e-3 to 2.1e-2 of it, so _MAX_TRACE_ROW_COND = 1e10 on
-    the estimate trips near cond_1 ~ 5e11 to 2e12.  A raw solution whose
-    hermiticity defect (at unit trace) is above 1e-9, or an eigenvalue of
-    the symmetrized state below -1e-9, is no physical state and raises too.
+    A Hermitian rho is held as the real matrix Y = Re rho + Im rho, so that
+    rho = (Y + Y^T)/2 + i (Y - Y^T)/2, row-major: vec(Y)[i*d+j] = Y[i, j].
+    Then Y' = Re rho' + Im rho' is real-linear in Y, and R equals
+    L.real + L.imag[:, swap] for the complex Liouvillian L, where swap
+    takes the column of (k, l) to that of (l, k).  With H, Gamma =
+    sum rate L2^T L1 and the L real, R4 = R.reshape(d, d, d, d) is
+    R4[i, j, k, j] -= Gamma[i, k] and R4[i, j, j, k] -= H[i, k] (from
+    K rho), R4[i, j, i, l] -= Gamma[j, l] and R4[i, j, l, i] += H[j, l]
+    (from rho K+), and each jump adds 2 rate L1[i, k] L2[j, l] to
+    R4[i, j, k, l], filled one nonzero of L1 at a time.
     """
-    A = L.copy()
-    A[0] = np.eye(dim).reshape(-1)
+    d = H.shape[0]
+    gamma = sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps)
+    R4 = np.zeros((d, d, d, d))
+    diag = np.arange(d)
+    R4[:, diag, :, diag] -= gamma
+    R4[diag, :, diag, :] -= gamma
+    R4[:, diag, diag, :] -= H[:, None, :]
+    R4[diag, :, :, diag] += H
+    for rate, L1, L2 in jumps:
+        for i, k in zip(*np.nonzero(L1)):
+            R4[i, :, k, :] += 2.0 * rate * L1[i, k] * L2
+    return R4.reshape(d * d, d * d)
+
+
+def _null_state(R: np.ndarray, dim: int) -> np.ndarray:
+    """Unique trace-one steady state of R, by one LU solve; R is overwritten.
+
+    R acts on Y = Re rho + Im rho (see ``liouvillian``), and the trace of
+    rho is that of Y.  The diagonal rows of a trace-preserving generator
+    sum to zero, so Y_00's equation is redundant and its row is replaced,
+    in place, by the trace condition vec(I) . y = 1 (Johansson, Nation &
+    Nori, CPC 184, 1234 (2013)).  Two fixed right-hand sides share the
+    real factorization and give the lower bound ||A||_1 max ||x_k|| /
+    ||b_k|| on the condition number; a singular or near-singular A means
+    the null space is not one-dimensional.  The two are chirps of the
+    index k, sin(k^2) and cos(sqrt(2) k^2): they bound cond_1 as closely
+    as Gaussian vectors do, without loading numpy.random.  They read
+    3.1e-2 to 6.2e-1 of it, so _MAX_TRACE_ROW_COND = 1e10 on the estimate
+    trips near cond_1 ~ 1.6e10 to 3.2e11.  The state rho built from y is
+    Hermitian by construction; an eigenvalue below -1e-9 at unit trace
+    makes it no physical state and raises too.
+    """
+    R[0] = np.eye(dim).reshape(-1)
     k2 = np.arange(dim * dim, dtype=float) ** 2
-    b = np.zeros((dim * dim, 3), dtype=complex)
+    b = np.zeros((dim * dim, 3))
     b[0, 0] = 1.0
     b[:, 1], b[:, 2] = np.sin(k2), np.cos(math.sqrt(2.0) * k2)
     try:
-        x = np.linalg.solve(A, b)
+        x = np.linalg.solve(R, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateNullSpace(f"trace-row system singular: {exc}") from exc
     growth = (np.abs(x).sum(axis=0) / np.abs(b).sum(axis=0)).max()
-    cond = np.abs(A).sum(axis=0).max() * growth
+    cond = np.abs(R).sum(axis=0).max() * growth
     if not cond <= _MAX_TRACE_ROW_COND:
         raise DegenerateNullSpace(
             f"trace-row system condition estimate {cond:.3e} above "
             f"{_MAX_TRACE_ROW_COND:g}: null space not one-dimensional")
-    raw = x[:, 0].reshape(dim, dim)
-    # the defect of the solution itself: the symmetrized state has none
-    unit = raw / np.trace(raw)
-    herm = np.abs(unit - unit.conj().T).max()
-    rho = 0.5 * (raw + raw.conj().T)
-    rho = rho / np.trace(rho).real
+    y = x[:, 0].reshape(dim, dim)
+    rho = 0.5 * (y + y.T) + 0.5j * (y - y.T)
+    rho = rho / np.trace(y)
     eigs = np.linalg.eigvalsh(rho)
-    if herm > 1e-9 or eigs.min() < -1e-9:
+    if eigs.min() < -1e-9:
         raise DegenerateNullSpace(
-            f"steady state not a physical state (herm {herm:.2e}, "
-            f"min eig {eigs.min():.2e})")
+            f"steady state not a physical state (min eig {eigs.min():.2e})")
     return rho
+
+
+# Above this residual of the operator-form master equation, relative to
+# ||K||_1 ||rho||_max, the solution of R is not a steady state of (H,
+# jumps): R was assembled wrong.  Clean solves read 2.4e-18 to 7.3e-17 over
+# the 25 generators above; a 1e-3 error in one entry of R reads ~4e-7.
+_MAX_RESIDUAL = 1e-12
 
 
 def lindblad_steady_state(params: SystemParams,
                           trunc: FockTruncation) -> SteadyState0:
-    """Probe-off steady state of the full model, reduced to the dressed atom."""
-    dim = 3 * (trunc.n_max + 1)
-    rho = _null_state(liouvillian(params, trunc), dim)
+    """Probe-off steady state of the full model, reduced to the dressed atom.
+
+    The state solved from ``liouvillian`` is checked against the master
+    equation in operator form, K rho + rho K+ + sum 2 rate L1 rho L2+,
+    from the same (H, jumps) by d x d products that do not read R; a
+    relative residual above _MAX_RESIDUAL raises DegenerateNullSpace.
+    """
+    H, jumps = full_model(params, trunc)
+    rho = _null_state(liouvillian(H, jumps), H.shape[0])
+    K = -1j * H - sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps)
+    # rho is Hermitian, so rho K+ is (K rho)+
+    drift = K @ rho
+    residual = drift + drift.conj().T
+    for rate, L1, L2 in jumps:
+        residual += 2.0 * rate * (L1 @ rho @ L2.T)
+    scale = np.abs(K).sum(axis=0).max() * np.abs(rho).max()
+    relative = np.abs(residual).max() / scale
+    if not relative <= _MAX_RESIDUAL:
+        raise DegenerateNullSpace(
+            f"steady state misses the master equation: residual "
+            f"{relative:.2e} of ||K||_1 ||rho||_max above {_MAX_RESIDUAL:g}")
 
     # trace out the cavity: rho_atom[l, k] = sum_n rho[(l, n), (k, n)]
     dim_f = trunc.n_max + 1

@@ -197,19 +197,23 @@ def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
     A stop that the steps reach only up to round-off is the last point,
     so a range that is a multiple of the step keeps both ends.  The grid
     must not be empty and must be strictly increasing, which round-off can
-    break where the step is below the spacing of floats (1e17 + 1.0).
+    break where the step is below the spacing of floats (1e17 + 1.0).  A
+    range whose step count overflows (stop - start = inf) is refused.
     """
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError("probe grid values must be finite")
+        raise ValueError("grid values must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
-    n = math.floor((stop - start) / step + 1e-9)
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError("grid step count (stop - start) / step must be finite")
+    n = math.floor(steps + 1e-9)
     # float64 products and sums: the bits of start + step * i in Python
     values = start + step * np.arange(n + 1)
     if not len(values):
-        raise ValueError("probe grid must not be empty")
+        raise ValueError("grid must not be empty")
     if not (values[1:] > values[:-1]).all():
-        raise ValueError("probe grid must be strictly increasing")
+        raise ValueError("grid must be strictly increasing")
     return values
 
 

@@ -1,14 +1,65 @@
-"""Exact perturbative probe response of the full atom + cavity model.
+"""Complex Liouvillian and exact probe response of the full model.
 
-Test-support module: third-order resolvent chain on the vectorized
+Test-support module.  ``per_term_liouvillian`` builds the complex
+row-major Liouvillian of the atom + cavity master equation, one kron per
+dissipator term, independently of ``vkerr.oracle``; ``real_coordinates``
+takes it to the real generator on Y = Re rho + Im rho that the oracle
+solves.  ``resolvent_chi`` is a third-order resolvent chain on the complex
 Liouvillian, independent of the dressed-frame reduction everywhere except
 the final (c, s) projection.  Used to cross-check chi1/chi3 end to end.
 """
 
+import math
+
 import numpy as np
 
 from vkerr.dressed import dress
-from vkerr.oracle import FockTruncation, atom_operators, liouvillian
+from vkerr.oracle import FockTruncation, atom_operators
+from vkerr.params import effective_gamma12
+
+
+def _dissipator(L1, L2):
+    """Superoperator of 2 L1 . L2+ - L2+ L1 . - . L2+ L1 (row-major vec)."""
+    d = L1.shape[0]
+    eye = np.eye(d)
+    L2d = L2.conj().T
+    anti = L2d @ L1
+    return (2.0 * np.kron(L1, L2d.T)
+            - np.kron(anti, eye) - np.kron(eye, anti.T))
+
+
+def per_term_liouvillian(params, trunc):
+    """Complex Liouvillian: commutator plus one dissipator per jump pair."""
+    ops, a = atom_operators(trunc.n_max)
+    ad = a.conj().T
+    g12 = effective_gamma12(params)
+    H = (params.delta * ops[(2, 2)]
+         - (params.omega21 - params.delta) * ops[(1, 1)]
+         + params.omega_L_rabi * (ops[(0, 2)] + ops[(2, 0)])
+         + params.delta_c * (ad @ a)
+         + params.g1 * (ad @ ops[(0, 1)] + ops[(1, 0)] @ a)
+         + params.g2 * (ad @ ops[(0, 2)] + ops[(2, 0)] @ a))
+    eye = np.eye(H.shape[0])
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    L = L + params.gamma1 * _dissipator(ops[(0, 1)], ops[(0, 1)])
+    L = L + params.gamma2 * _dissipator(ops[(0, 2)], ops[(0, 2)])
+    if g12 != 0.0:
+        L = L + g12 * _dissipator(ops[(0, 1)], ops[(0, 2)])
+        L = L + g12 * _dissipator(ops[(0, 2)], ops[(0, 1)])
+    L = L + params.kappa * _dissipator(a, a)
+    return L
+
+
+def real_coordinates(L):
+    """Real generator L.real + L.imag[:, swap] of Y = Re rho + Im rho.
+
+    ``swap`` takes the column of (k, l) to that of (l, k): with rho =
+    (Y + Y^T)/2 + i (Y - Y^T)/2, Re rho' + Im rho' collects Re L on Y[k, l]
+    and Im L on Y[l, k].
+    """
+    d = math.isqrt(L.shape[0])
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    return L.real + L.imag[:, swap]
 
 
 def resolvent_chi(params, delta_p_values, n_max=4):
@@ -16,7 +67,7 @@ def resolvent_chi(params, delta_p_values, n_max=4):
     trunc = FockTruncation(n_max)
     dim = 3 * (n_max + 1)
     dim_f = n_max + 1
-    L0 = liouvillian(params, trunc)
+    L0 = per_term_liouvillian(params, trunc)
 
     rho0 = np.linalg.svd(L0)[2][-1].conj().reshape(dim, dim)
     rho0 = 0.5 * (rho0 + rho0.conj().T)

@@ -315,7 +315,23 @@ class TestErrors:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert json.loads(captured.err.splitlines()[-1]) == {"error": {
-            "type": "ValueError", "message": "probe grid values must be finite"}}
+            "type": "ValueError", "message": "grid values must be finite"}}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--start", "-1e308", "--stop", "1e308", "--step", "1e307"],
+         "grid step count (stop - start) / step must be finite"),
+        (["--axis", "g1", "--omega", "200", "--start", "2", "--stop", "1",
+          "--step", "0.5"], "grid must not be empty"),
+    ], ids=["overflowing-range", "empty-g1-grid"])
+    def test_bad_grid_is_a_value_error(self, config_file, capsys, argv,
+                                       message):
+        # finite ends whose difference overflows are refused like every
+        # other bad grid, and the message fits any axis, not just omega
+        rc = main(["sweep", "--config", config_file] + argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {"error": {
+            "type": "ValueError", "message": message}}
 
     @pytest.mark.parametrize("argv, named", [
         (["sweep", "--axis", "omega", "--omega", "5", "--format", "json"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from vkerr.dressed import coefficient_rows
 from vkerr.floquet import STATE, HarmonicTable, reduced_operators
 from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
                           _magnus_exponents, _null_state, _sample_maps,
-                          atom_operators, liouvillian)
+                          atom_operators, full_model, liouvillian)
 from vkerr.params import ParameterColumns, effective_gamma12
 
+from fullmodel import _dissipator, per_term_liouvillian, real_coordinates
 from test_dressed import quiet_params, random_params
 from test_floquet import _reduced_rhs, element_rows
 
@@ -23,47 +25,15 @@ REF_EXACT = {"rho_11": 0.2082, "rho_pp": 0.2375, "rho_mm": 0.5543,
              "rho_m1": -0.0093 - 0.1755j}
 
 
-def _dissipator(L1, L2):
-    """Superoperator of 2 L1 . L2+ - L2+ L1 . - . L2+ L1 (row-major vec)."""
-    d = L1.shape[0]
-    eye = np.eye(d)
-    L2d = L2.conj().T
-    anti = L2d @ L1
-    return (2.0 * np.kron(L1, L2d.T)
-            - np.kron(anti, eye) - np.kron(eye, anti.T))
-
-
-def per_term_liouvillian(params, trunc):
-    """Reference Liouvillian: commutator plus one dissipator per jump pair."""
-    ops, a = atom_operators(trunc.n_max)
-    ad = a.conj().T
-    g12 = effective_gamma12(params)
-    H = (params.delta * ops[(2, 2)]
-         - (params.omega21 - params.delta) * ops[(1, 1)]
-         + params.omega_L_rabi * (ops[(0, 2)] + ops[(2, 0)])
-         + params.delta_c * (ad @ a)
-         + params.g1 * (ad @ ops[(0, 1)] + ops[(1, 0)] @ a)
-         + params.g2 * (ad @ ops[(0, 2)] + ops[(2, 0)] @ a))
-    eye = np.eye(H.shape[0])
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    L = L + params.gamma1 * _dissipator(ops[(0, 1)], ops[(0, 1)])
-    L = L + params.gamma2 * _dissipator(ops[(0, 2)], ops[(0, 2)])
-    if g12 != 0.0:
-        L = L + g12 * _dissipator(ops[(0, 1)], ops[(0, 2)])
-        L = L + g12 * _dissipator(ops[(0, 2)], ops[(0, 1)])
-    L = L + params.kappa * _dissipator(a, a)
-    return L
-
-
 def _svd_null_state(L, dim):
-    """Reference steady state: the singular vector of the smallest sigma."""
+    """Reference steady state of a complex L: the smallest sigma's vector."""
     rho = np.linalg.svd(L)[2][-1].conj().reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
 def _toy_liouvillian(energies, decays):
-    """d-level Liouvillian of H = diag(energies) and jumps |j><i| at rate g.
+    """d-level real generator of H = diag(energies), jumps |j><i| at rate g.
 
     ``decays`` holds (g, i, j) for a decay i -> j.
     """
@@ -75,7 +45,7 @@ def _toy_liouvillian(energies, decays):
         jump = np.zeros((d, d))
         jump[j, i] = 1.0
         L = L + g * _dissipator(jump, jump)
-    return L
+    return real_coordinates(L)
 
 
 TWO_SINKS = [(1.0, 1, 0), (1.0, 2, 1), (1.0, 4, 3), (1.0, 5, 4)]
@@ -84,7 +54,7 @@ TWO_SINKS = [(1.0, 1, 0), (1.0, 2, 1), (1.0, 4, 3), (1.0, 5, 4)]
 class TestLiouvillian:
     def test_trace_preservation(self, sideband_params):
         trunc = FockTruncation(3)
-        L = liouvillian(sideband_params, trunc)
+        L = liouvillian(*full_model(sideband_params, trunc))
         dim = 3 * (trunc.n_max + 1)
         # functional Tr(L rho) must vanish: contract with vec(identity)
         tr_vec = np.eye(dim).reshape(-1)
@@ -93,16 +63,17 @@ class TestLiouvillian:
 
     @pytest.mark.parametrize("draw", ["sideband", "theta"])
     def test_matches_per_term_construction(self, sideband_params, draw):
-        # the effective-Hamiltonian build against one kron per dissipator
-        # term; the theta draw switches the cross-damping pair on
+        # the index-assembled real generator against one kron per
+        # dissipator term, taken to Y coordinates; the theta draw switches
+        # the cross-damping pair on
         params = sideband_params
         if draw == "theta":
             params = random_params(np.random.default_rng(11))
             params = params.replace(theta=0.6)
             assert effective_gamma12(params) != 0.0
         trunc = FockTruncation(3)
-        ours = liouvillian(params, trunc)
-        ref = per_term_liouvillian(params, trunc)
+        ours = liouvillian(*full_model(params, trunc))
+        ref = real_coordinates(per_term_liouvillian(params, trunc))
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_operators(self):
@@ -137,10 +108,11 @@ class TestLindbladSteadyState:
 
     @pytest.mark.parametrize("n_max", [4, 8])
     def test_matches_svd_null_vector(self, sideband_params, n_max):
-        L = liouvillian(sideband_params, FockTruncation(n_max))
+        trunc = FockTruncation(n_max)
         dim = 3 * (n_max + 1)
-        rho = _null_state(L, dim)
-        assert np.abs(rho - _svd_null_state(L, dim)).max() <= 1e-10
+        rho = _null_state(liouvillian(*full_model(sideband_params, trunc)), dim)
+        ref = _svd_null_state(per_term_liouvillian(sideband_params, trunc), dim)
+        assert np.abs(rho - ref).max() <= 1e-10
 
     def test_cutoff_convergence(self, sideband_params):
         a = lindblad_steady_state(sideband_params, FockTruncation(3))
@@ -184,19 +156,42 @@ class TestNullState:
         with pytest.raises(DegenerateNullSpace, match="condition estimate"):
             _null_state(L, 6)
 
-    def test_non_hermitian_solution_is_typed(self, sideband_params,
+    @pytest.mark.parametrize("draw", ["sideband", "gentle", "theta",
+                                      "seed-3", "seed-4"])
+    def test_condition_estimate_share_of_cond_1(self, request, monkeypatch,
+                                                draw):
+        # the estimate is a lower bound on the true cond_1 of the trace-row
+        # system; over these draws at n_max 1, 2, 4, 6, 8 it read 3.09e-2 to
+        # 6.17e-1 of it, which puts the 1e10 bound's trip point at a true
+        # cond_1 of 1.6e10 to 3.2e11.  A zero bound makes every solve raise
+        # with the estimate in its message, and leaves the system A in R.
+        if draw in ("sideband", "gentle"):
+            params = request.getfixturevalue(f"{draw}_params")
+        elif draw == "theta":
+            params = random_params(np.random.default_rng(11)).replace(theta=0.6)
+        else:
+            params = random_params(np.random.default_rng(int(draw[-1])))
+        monkeypatch.setattr(oracle, "_MAX_TRACE_ROW_COND", 0.0)
+        for n_max in (1, 2, 4):
+            R = liouvillian(*full_model(params, FockTruncation(n_max)))
+            with pytest.raises(DegenerateNullSpace) as info:
+                _null_state(R, 3 * (n_max + 1))
+            estimate = float(re.search(r"estimate (\S+)", str(info.value))[1])
+            assert 3e-2 <= estimate / np.linalg.cond(R, 1) <= 1.0
+
+    def test_misassembled_generator_is_typed(self, sideband_params,
                                              monkeypatch):
-        # rho_{(0,0),(2,0)} damped 1e-3 faster than its conjugate: L no
-        # longer maps Hermitian states onto Hermitian ones, and symmetrizing
-        # the solution before measuring its defect would hide that
-        def skewed(params, trunc):
-            L = liouvillian(params, trunc)
-            k = 2 * (trunc.n_max + 1)   # row-major vec index of that element
-            L[k, k] -= 1e-3
-            return L
+        # Y_{(0,0),(2,0)} damped 1e-3 faster than the master equation says:
+        # the solve still yields a unit-trace Hermitian state, which only
+        # the operator-form residual, built without R, can reject
+        def skewed(H, jumps):
+            R = liouvillian(H, jumps)
+            k = 2 * H.shape[0] // 3   # row-major vec index of that element
+            R[k, k] -= 1e-3
+            return R
 
         monkeypatch.setattr("vkerr.oracle.liouvillian", skewed)
-        with pytest.raises(DegenerateNullSpace, match="not a physical state"):
+        with pytest.raises(DegenerateNullSpace, match="misses the master"):
             lindblad_steady_state(sideband_params, FockTruncation(2))
 
     def test_unique_state_of_a_single_sink(self):

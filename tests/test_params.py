@@ -170,11 +170,11 @@ class TestProbeGrid:
 
     def test_rejects_non_increasing(self):
         # a step below the spacing of floats at 1e17 (16) repeats points
-        with pytest.raises(ValueError, match="^probe grid must be strictly increasing$"):
+        with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
             axis_grid(1e17, 1e17 + 64, 1.0)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="^probe grid must not be empty$"):
+        with pytest.raises(ValueError, match="^grid must not be empty$"):
             axis_grid(2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("start, stop, step", [
@@ -183,7 +183,7 @@ class TestProbeGrid:
         (190.0, 210.0, math.nan), (190.0, 210.0, math.inf),
     ])
     def test_from_range_rejects_non_finite(self, start, stop, step):
-        with pytest.raises(ValueError, match="^probe grid values must be finite$"):
+        with pytest.raises(ValueError, match="^grid values must be finite$"):
             axis_grid(start, stop, step)
 
 
