@@ -4,13 +4,13 @@ Two independent checks live here, on numpy alone:
 
 * ``lindblad_steady_state`` solves the full atom + cavity master equation
   (probe off) on a truncated Fock space.  It holds a Hermitian rho as the
-  real matrix Y = Re rho + Im rho, in which the equation is real-linear:
-  the dense real generator is filled by index from H and the jump
-  operators, one diagonal row is overwritten in place by the trace
-  condition, and one real LU factorization solves it.  The state is then
-  checked against the master equation in operator form, traced over the
-  cavity and rotated to the dressed basis.  It shares nothing with the
-  reduced dynamics except the two mixing amplitudes (c, s).
+  real matrix Y = Re rho + Im rho, in which the equation is real-linear.
+  The real generator, with one diagonal row replaced by the trace
+  condition, is filled by index from H and the jumps one group of
+  photon-number pairs at a time and solved by block elimination over
+  the groups.  The state is then checked against the master equation in
+  operator form, traced over the cavity and rotated to the dressed basis.
+  It shares nothing with the reduced dynamics but the mixing (c, s).
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
@@ -149,63 +149,112 @@ def full_model(params: SystemParams, trunc: FockTruncation):
     return H, jumps
 
 
-def liouvillian(H: np.ndarray, jumps: list) -> np.ndarray:
-    """Real generator R, d^2 x d^2, of the master equation of ``full_model``.
+def liouvillian(H: np.ndarray, jumps: list, rows) -> np.ndarray:
+    """Rows ``rows`` of the real generator R, d^2 x d^2, of ``full_model``.
 
     A Hermitian rho is held as the real matrix Y = Re rho + Im rho, so that
     rho = (Y + Y^T)/2 + i (Y - Y^T)/2, row-major: vec(Y)[i*d+j] = Y[i, j].
     Then Y' = Re rho' + Im rho' is real-linear in Y, and R equals
     L.real + L.imag[:, swap] for the complex Liouvillian L, where swap
     takes the column of (k, l) to that of (l, k).  With H, Gamma =
-    sum rate L2^T L1 and the L real, R4 = R.reshape(d, d, d, d) is
-    R4[i, j, k, j] -= Gamma[i, k] and R4[i, j, j, k] -= H[i, k] (from
-    K rho), R4[i, j, i, l] -= Gamma[j, l] and R4[i, j, l, i] += H[j, l]
-    (from rho K+), and each jump adds 2 rate L1[i, k] L2[j, l] to
-    R4[i, j, k, l], filled one nonzero of L1 at a time.
+    sum rate L2^T L1 and the L real, row r = i*d + j as a d x d array is
+    out[r, :, j] -= Gamma[i] and out[r, j, :] -= H[i] (from K rho),
+    out[r, i, :] -= Gamma[j] and out[r, :, i] += H[j] (from rho K+), and
+    each nonzero L1[i, k] of a jump adds 2 rate L1[i, k] L2[j] to out[r, k].
     """
     d = H.shape[0]
-    gamma = sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps)
-    R4 = np.zeros((d, d, d, d))
-    diag = np.arange(d)
-    R4[:, diag, :, diag] -= gamma
-    R4[diag, :, diag, :] -= gamma
-    R4[:, diag, diag, :] -= H[:, None, :]
-    R4[diag, :, :, diag] += H
+    gamma = sum((rate * (L2.T @ L1) for rate, L1, L2 in jumps),
+                np.zeros_like(H))
+    i, j = np.divmod(np.asarray(rows), d)
+    r = np.arange(len(i))
+    out = np.zeros((len(i), d, d))
+    out[r, :, j] -= gamma[i]
+    out[r, i, :] -= gamma[j]
+    out[r, j, :] -= H[i]
+    out[r, :, i] += H[j]
     for rate, L1, L2 in jumps:
-        for i, k in zip(*np.nonzero(L1)):
-            R4[i, :, k, :] += 2.0 * rate * L1[i, k] * L2
-    return R4.reshape(d * d, d * d)
+        nz, k = np.nonzero(L1[i])
+        out[nz, k] += 2.0 * rate * L1[i[nz], k][:, None] * L2[j[nz]]
+    return out.reshape(len(i), d * d)
 
 
-def _null_state(R: np.ndarray, dim: int) -> np.ndarray:
-    """Unique trace-one steady state of R, by one LU solve; R is overwritten.
+def _photon_pair_groups(n_max: int) -> list:
+    """vec indices of Y[(a, n), (b, m)] by (n + m) // 2, the first from Y_00.
 
-    R acts on Y = Re rho + Im rho (see ``liouvillian``), and the trace of
-    rho is that of Y.  The diagonal rows of a trace-preserving generator
-    sum to zero, so Y_00's equation is redundant and its row is replaced,
-    in place, by the trace condition vec(I) . y = 1 (Johansson, Nation &
-    Nori, CPC 184, 1234 (2013)).  Two fixed right-hand sides share the
-    real factorization and give the lower bound ||A||_1 max ||x_k|| /
-    ||b_k|| on the condition number; a singular or near-singular A means
-    the null space is not one-dimensional.  The two are chirps of the
-    index k, sin(k^2) and cos(sqrt(2) k^2): they bound cond_1 as closely
-    as Gaussian vectors do, without loading numpy.random.  They read
-    3.1e-2 to 6.2e-1 of it, so _MAX_TRACE_ROW_COND = 1e10 on the estimate
-    trips near cond_1 ~ 1.6e10 to 3.2e11.  The state rho built from y is
-    Hermitian by construction; an eigenvalue below -1e-9 at unit trace
-    makes it no physical state and raises too.
+    H and K change n or m by one and the cavity jump a rho a+ lowers both,
+    so ``liouvillian`` is block-tridiagonal in these groups.
     """
-    R[0] = np.eye(dim).reshape(-1)
+    n = np.arange(3 * (n_max + 1)) % (n_max + 1)
+    g = (n[:, None] + n).ravel() // 2
+    return [np.flatnonzero(g == k) for k in range(n_max + 1)]
+
+
+def _trace_row_solve(H: np.ndarray, jumps: list, groups: list,
+                     b: np.ndarray):
+    """x with A x = b, and the column sums of |A|, for the trace-row system.
+
+    A is R of ``liouvillian``, built one group's rows at a time, with Y_00's
+    row replaced by the trace vec(I) . y.  Outside that row R couples each
+    of ``groups`` (the first starts with Y_00) only to its neighbours.  From
+    the top group down x_k = M_k x_{k-1} + v_k, (A_kk + A_k,k+1 M_k+1)
+    [M_k | v_k] = [-A_k,k-1 | b_k - A_k,k+1 v_k+1] (Risken, The Fokker-Planck
+    Equation, ch. 9).  The trace row reaches every group; it is carried down
+    as sum_{j>=k} t_j x_j = tau_k x_k + c_k, tau_k = t_k + tau_k+1 M_k+1,
+    and closes group 0.  One group is a plain dense solve.
+    """
+    trace = np.eye(H.shape[0]).reshape(-1)
+    norm = np.zeros(len(b))
+    chain, tail, shift = [], 0.0, 0.0   # [M_k, v_k] for k = 1, 2, ...
+    for k in reversed(range(len(groups))):
+        rows = groups[k]
+        slab = liouvillian(H, jumps, rows)
+        if k == 0:
+            slab[0] = trace
+        norm += np.abs(slab).sum(axis=0)
+        a, rhs = slab[:, rows], b[rows]
+        if chain:
+            up = slab[:, groups[k + 1]]
+            a += up @ chain[0][0]
+            rhs -= up @ chain[0][1]
+        tau = trace[rows] + tail
+        if k:
+            below = slab[:, groups[k - 1]]
+            mv = np.linalg.solve(a, np.hstack([-below, rhs]))
+            chain.insert(0, np.split(mv, [below.shape[1]], axis=1))
+            tail, shift = tau @ chain[0][0], tau @ chain[0][1] + shift
+    a[0], rhs[0] = tau, b[0] - shift     # a, rhs and tau of group 0
+    x = np.empty_like(b)
+    x[groups[0]] = np.linalg.solve(a, rhs)
+    for below, rows, (m, v) in zip(groups, groups[1:], chain):
+        x[rows] = m @ x[below] + v
+    return x, norm
+
+
+def _null_state(H: np.ndarray, jumps: list, groups: list) -> np.ndarray:
+    """Unique trace-one steady state of (H, jumps), by ``_trace_row_solve``.
+
+    The diagonal rows of a trace-preserving generator sum to zero, so Y_00's
+    equation is redundant and gives way to the trace of rho, that of Y
+    (Johansson, Nation & Nori, CPC 184, 1234 (2013)).  Two chirps of the
+    index k, sin(k^2) and cos(sqrt(2) k^2), ride along as right-hand sides:
+    like Gaussian vectors, without numpy.random, they give the lower bound
+    ||A||_1 max ||x_k|| / ||b_k|| on cond_1 of the system A, at 3.1e-2 to
+    6.2e-1 of it.  So _MAX_TRACE_ROW_COND = 1e10 on it trips near cond_1 ~
+    1.6e10 to 3.2e11; that, or a singular A, means the null space is not
+    one-dimensional.  rho is Hermitian by construction; an eigenvalue below
+    -1e-9 at unit trace makes it no physical state and raises too.
+    """
+    dim = H.shape[0]
     k2 = np.arange(dim * dim, dtype=float) ** 2
     b = np.zeros((dim * dim, 3))
     b[0, 0] = 1.0
     b[:, 1], b[:, 2] = np.sin(k2), np.cos(math.sqrt(2.0) * k2)
     try:
-        x = np.linalg.solve(R, b)
+        x, norm = _trace_row_solve(H, jumps, groups, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateNullSpace(f"trace-row system singular: {exc}") from exc
     growth = (np.abs(x).sum(axis=0) / np.abs(b).sum(axis=0)).max()
-    cond = np.abs(R).sum(axis=0).max() * growth
+    cond = norm.max() * growth
     if not cond <= _MAX_TRACE_ROW_COND:
         raise DegenerateNullSpace(
             f"trace-row system condition estimate {cond:.3e} above "
@@ -237,7 +286,7 @@ def lindblad_steady_state(params: SystemParams,
     relative residual above _MAX_RESIDUAL raises DegenerateNullSpace.
     """
     H, jumps = full_model(params, trunc)
-    rho = _null_state(liouvillian(H, jumps), H.shape[0])
+    rho = _null_state(H, jumps, _photon_pair_groups(trunc.n_max))
     K = -1j * H - sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps)
     # rho is Hermitian, so rho K+ is (K rho)+
     drift = K @ rho
@@ -298,12 +347,12 @@ def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTrun
 # element.  Magnus steps keep h * rho(C) at or below _MAX_STEP_PHASE; the
 # step count starts at the smallest such multiple of _N_SAMPLES and is
 # doubled at most _MAX_DOUBLINGS times.  Exponentials are taken _EXPM_CHUNK
-# steps at a time.
+# steps at a time (1024 peaks ~3 MB higher; 256 runs 2-4 % slower).
 _N_SAMPLES = 256
 _RTOL = 1e-10
 _MAX_STEP_PHASE = 2.0
 _MAX_DOUBLINGS = 4
-_EXPM_CHUNK = 1024
+_EXPM_CHUNK = 512
 # A first step count above this raises up front.  One orbit at the cap
 # takes ~10 s on a 2-core x86 host (~10 us per Magnus step), and the first
 # step-doubling comparison three times that.

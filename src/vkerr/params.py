@@ -191,6 +191,13 @@ class ParameterColumns(namedtuple("ParameterColumns", SystemParams._fields,
         return errors
 
 
+# A sweep holds ~2.7 kB per row on the omega axis and ~4.9 kB on a
+# parameter axis: 200001-row `vkerr sweep` runs peaked at 0.56 GB and
+# 0.97 GB against 0.14 GB and 0.22 GB at 40001 rows.  Longer grids are
+# refused, which keeps a sweep near 1 GB.
+_MAX_GRID_POINTS = 200_000
+
+
 def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop; never past it beyond round-off.
 
@@ -198,7 +205,8 @@ def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
     so a range that is a multiple of the step keeps both ends.  The grid
     must not be empty and must be strictly increasing, which round-off can
     break where the step is below the spacing of floats (1e17 + 1.0).  A
-    range whose step count overflows (stop - start = inf) is refused.
+    range whose step count overflows (stop - start = inf), or a grid of
+    more than _MAX_GRID_POINTS points, is refused before it is built.
     """
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError("grid values must be finite")
@@ -208,6 +216,9 @@ def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
     if not math.isfinite(steps):
         raise ValueError("grid step count (stop - start) / step must be finite")
     n = math.floor(steps + 1e-9)
+    if n + 1 > _MAX_GRID_POINTS:
+        raise ValueError(f"grid of {n + 1} points above the cap of "
+                         f"{_MAX_GRID_POINTS}")
     # float64 products and sums: the bits of start + step * i in Python
     values = start + step * np.arange(n + 1)
     if not len(values):

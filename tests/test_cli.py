@@ -322,11 +322,14 @@ class TestErrors:
          "grid step count (stop - start) / step must be finite"),
         (["--axis", "g1", "--omega", "200", "--start", "2", "--stop", "1",
           "--step", "0.5"], "grid must not be empty"),
-    ], ids=["overflowing-range", "empty-g1-grid"])
+        (["--start", "190", "--stop", "210", "--step", "1e-12"],
+         "grid of 20000000000001 points above the cap of 200000"),
+    ], ids=["overflowing-range", "empty-g1-grid", "tiny-step"])
     def test_bad_grid_is_a_value_error(self, config_file, capsys, argv,
                                        message):
-        # finite ends whose difference overflows are refused like every
-        # other bad grid, and the message fits any axis, not just omega
+        # finite ends whose difference overflows, or a step so small that
+        # the grid would not fit in memory, are refused like every other
+        # bad grid, and the message fits any axis, not just omega
         rc = main(["sweep", "--config", config_file] + argv)
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""

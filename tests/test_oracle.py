@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
 from vkerr.dressed import coefficient_rows
 from vkerr.floquet import STATE, HarmonicTable, reduced_operators
 from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
-                          _magnus_exponents, _null_state, _sample_maps,
-                          atom_operators, full_model, liouvillian)
+                          _magnus_exponents, _null_state, _photon_pair_groups,
+                          _sample_maps, _trace_row_solve, atom_operators,
+                          full_model, liouvillian)
 from vkerr.params import ParameterColumns, effective_gamma12
 
 from fullmodel import _dissipator, per_term_liouvillian, real_coordinates
@@ -32,29 +34,55 @@ def _svd_null_state(L, dim):
     return rho / np.trace(rho).real
 
 
-def _toy_liouvillian(energies, decays):
-    """d-level real generator of H = diag(energies), jumps |j><i| at rate g.
+def _dense(H, jumps):
+    """The whole real generator R: ``liouvillian`` over all d^2 rows."""
+    return liouvillian(H, jumps, np.arange(H.shape[0] ** 2))
 
-    ``decays`` holds (g, i, j) for a decay i -> j.
+
+def _trace_row_system(H, jumps):
+    """R with Y_00's row replaced by vec(I), as the steady-state solve sees it."""
+    A = _dense(H, jumps)
+    A[0] = np.eye(H.shape[0]).reshape(-1)
+    return A
+
+
+def _toy_model(energies, decays):
+    """(H, jumps) of a d-level atom, H = diag(energies), jumps |j><i| at rate g.
+
+    ``decays`` holds (g, i, j) for a decay i -> j.  The solves take its
+    d^2 unknowns as one group.
     """
     d = len(energies)
     H = np.diag(np.asarray(energies, dtype=float))
-    eye = np.eye(d)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    jumps = []
     for g, i, j in decays:
         jump = np.zeros((d, d))
         jump[j, i] = 1.0
-        L = L + g * _dissipator(jump, jump)
-    return real_coordinates(L)
+        jumps.append((g, jump, jump))
+    return H, jumps
+
+
+def _toy_null_state(energies, decays):
+    return _null_state(*_toy_model(energies, decays),
+                       [np.arange(len(energies) ** 2)])
 
 
 TWO_SINKS = [(1.0, 1, 0), (1.0, 2, 1), (1.0, 4, 3), (1.0, 5, 4)]
 
 
+def _draw(request, draw):
+    """Parameter sets of the solver checks: two fixtures, three draws."""
+    if draw in ("sideband", "gentle"):
+        return request.getfixturevalue(f"{draw}_params")
+    if draw == "theta":
+        return random_params(np.random.default_rng(11)).replace(theta=0.6)
+    return random_params(np.random.default_rng(int(draw[-1])))
+
+
 class TestLiouvillian:
     def test_trace_preservation(self, sideband_params):
         trunc = FockTruncation(3)
-        L = liouvillian(*full_model(sideband_params, trunc))
+        L = _dense(*full_model(sideband_params, trunc))
         dim = 3 * (trunc.n_max + 1)
         # functional Tr(L rho) must vanish: contract with vec(identity)
         tr_vec = np.eye(dim).reshape(-1)
@@ -72,9 +100,44 @@ class TestLiouvillian:
             params = params.replace(theta=0.6)
             assert effective_gamma12(params) != 0.0
         trunc = FockTruncation(3)
-        ours = liouvillian(*full_model(params, trunc))
+        ours = _dense(*full_model(params, trunc))
         ref = real_coordinates(per_term_liouvillian(params, trunc))
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_toy_model_matches_kron_construction(self):
+        # the one-group toy models of TestNullState, against the kron
+        # superoperators of fullmodel.py
+        H, jumps = _toy_model(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
+        eye = np.eye(3)
+        L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+        for rate, L1, L2 in jumps:
+            L = L + rate * _dissipator(L1, L2)
+        assert np.abs(_dense(H, jumps) - real_coordinates(L)).max() <= 1e-15
+
+    def test_row_slabs_are_rows_of_the_generator(self, sideband_params):
+        # any subset of rows, in any order, is bit for bit those rows of R
+        H, jumps = full_model(sideband_params, FockTruncation(2))
+        rows = np.random.default_rng(1).permutation(H.shape[0] ** 2)[:40]
+        assert np.array_equal(liouvillian(H, jumps, rows),
+                              _dense(H, jumps)[rows])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_block_tridiagonal_in_photon_pairs(self, sideband_params,
+                                               n_max):
+        # Y[(a, n), (b, m)] in group (n + m) // 2: outside the trace row,
+        # every nonzero of R couples a group to itself or a neighbour, and
+        # the groups partition the unknowns with Y_00 first
+        params = sideband_params.replace(theta=0.6)
+        H, jumps = full_model(params, FockTruncation(n_max))
+        groups = _photon_pair_groups(n_max)
+        label = np.empty(H.shape[0] ** 2, dtype=int)
+        for k, rows in enumerate(groups):
+            label[rows] = k
+        assert len(groups) == n_max + 1 and groups[0][0] == 0
+        assert sorted(np.concatenate(groups)) == list(range(len(label)))
+        rows, cols = np.nonzero(_dense(H, jumps)[1:])
+        gap = np.abs(label[rows + 1] - label[cols])
+        assert gap.max() == 1
 
     def test_operators(self):
         ops, a = atom_operators(2)
@@ -110,9 +173,43 @@ class TestLindbladSteadyState:
     def test_matches_svd_null_vector(self, sideband_params, n_max):
         trunc = FockTruncation(n_max)
         dim = 3 * (n_max + 1)
-        rho = _null_state(liouvillian(*full_model(sideband_params, trunc)), dim)
+        rho = _null_state(*full_model(sideband_params, trunc),
+                          _photon_pair_groups(n_max))
         ref = _svd_null_state(per_term_liouvillian(sideband_params, trunc), dim)
         assert np.abs(rho - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("draw", ["sideband", "gentle", "theta",
+                                      "seed-3", "seed-4"])
+    def test_block_solve_matches_dense_solve(self, request, draw):
+        # elimination over photon-pair groups against one LU of the whole
+        # trace-row system, for the unit trace and both chirp right-hand
+        # sides; the column sums of |A| are gathered slab by slab
+        params = _draw(request, draw)
+        for n_max in (1, 2, 4, 8):
+            H, jumps = full_model(params, FockTruncation(n_max))
+            A = _trace_row_system(H, jumps)
+            k2 = np.arange(len(A), dtype=float) ** 2
+            b = np.stack([k2 == 0, np.sin(k2), np.cos(math.sqrt(2.0) * k2)],
+                         axis=1) * 1.0
+            x, norm = _trace_row_solve(H, jumps, _photon_pair_groups(n_max), b)
+            ref = np.linalg.solve(A, b)
+            error = np.abs(x - ref).max(axis=0) / np.abs(ref).max(axis=0)
+            assert error.max() <= 1e-12
+            column_sums = np.abs(A).sum(axis=0)
+            assert np.abs(norm - column_sums).max() <= 1e-12 * norm.max()
+
+    def test_memory_below_one_dense_generator(self, sideband_params):
+        # the solve builds one photon-pair group's rows at a time; the
+        # whole generator at n_max 8 would take d^4 * 8 bytes (4.25 MB)
+        trunc = FockTruncation(8)
+        lindblad_steady_state(sideband_params, trunc)     # warm caches
+        tracemalloc.start()
+        try:
+            lindblad_steady_state(sideband_params, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (3 * (trunc.n_max + 1)) ** 4 * 8
 
     def test_cutoff_convergence(self, sideband_params):
         a = lindblad_steady_state(sideband_params, FockTruncation(3))
@@ -145,16 +242,14 @@ class TestNullState:
     @pytest.mark.parametrize("decays", [[], TWO_SINKS],
                              ids=["pure-hamiltonian", "two-sinks"])
     def test_singular_system_is_typed(self, decays):
-        L = _toy_liouvillian(np.arange(6.0), decays)
         with pytest.raises(DegenerateNullSpace):
-            _null_state(L, 6)
+            _toy_null_state(np.arange(6.0), decays)
 
     def test_near_degenerate_system_trips_condition_bound(self):
         # a 1e-12 leak from the second sink into the first makes the steady
         # state unique but the system numerically singular
-        L = _toy_liouvillian(np.arange(6.0), TWO_SINKS + [(1e-12, 3, 0)])
         with pytest.raises(DegenerateNullSpace, match="condition estimate"):
-            _null_state(L, 6)
+            _toy_null_state(np.arange(6.0), TWO_SINKS + [(1e-12, 3, 0)])
 
     @pytest.mark.parametrize("draw", ["sideband", "gentle", "theta",
                                       "seed-3", "seed-4"])
@@ -164,39 +259,34 @@ class TestNullState:
         # system; over these draws at n_max 1, 2, 4, 6, 8 it read 3.09e-2 to
         # 6.17e-1 of it, which puts the 1e10 bound's trip point at a true
         # cond_1 of 1.6e10 to 3.2e11.  A zero bound makes every solve raise
-        # with the estimate in its message, and leaves the system A in R.
-        if draw in ("sideband", "gentle"):
-            params = request.getfixturevalue(f"{draw}_params")
-        elif draw == "theta":
-            params = random_params(np.random.default_rng(11)).replace(theta=0.6)
-        else:
-            params = random_params(np.random.default_rng(int(draw[-1])))
+        # with the estimate in its message; the photon-pair solve runs.
+        params = _draw(request, draw)
         monkeypatch.setattr(oracle, "_MAX_TRACE_ROW_COND", 0.0)
         for n_max in (1, 2, 4):
-            R = liouvillian(*full_model(params, FockTruncation(n_max)))
+            H, jumps = full_model(params, FockTruncation(n_max))
             with pytest.raises(DegenerateNullSpace) as info:
-                _null_state(R, 3 * (n_max + 1))
+                _null_state(H, jumps, _photon_pair_groups(n_max))
             estimate = float(re.search(r"estimate (\S+)", str(info.value))[1])
-            assert 3e-2 <= estimate / np.linalg.cond(R, 1) <= 1.0
+            A = _trace_row_system(H, jumps)
+            assert 3e-2 <= estimate / np.linalg.cond(A, 1) <= 1.0
 
     def test_misassembled_generator_is_typed(self, sideband_params,
                                              monkeypatch):
         # Y_{(0,0),(2,0)} damped 1e-3 faster than the master equation says:
         # the solve still yields a unit-trace Hermitian state, which only
         # the operator-form residual, built without R, can reject
-        def skewed(H, jumps):
-            R = liouvillian(H, jumps)
+        def skewed(H, jumps, rows):
+            slab = liouvillian(H, jumps, rows)
             k = 2 * H.shape[0] // 3   # row-major vec index of that element
-            R[k, k] -= 1e-3
-            return R
+            slab[rows == k, k] -= 1e-3
+            return slab
 
         monkeypatch.setattr("vkerr.oracle.liouvillian", skewed)
         with pytest.raises(DegenerateNullSpace, match="misses the master"):
             lindblad_steady_state(sideband_params, FockTruncation(2))
 
     def test_unique_state_of_a_single_sink(self):
-        L = _toy_liouvillian(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
-        rho = _null_state(L, 3)
+        rho = _toy_null_state(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
         assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() <= 1e-14
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ class TestProbeGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="^grid must not be empty$"):
             axis_grid(2.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("start, stop, step, count", [
+        (0.0, 200000.0, 1.0, 200001),           # one point over the cap
+        (190.0, 210.0, 1e-12, 20000000000001),  # 160 TB as float64
+    ], ids=["cap-plus-one", "tiny-step"])
+    def test_rejects_too_many_points(self, start, stop, step, count):
+        # the count is refused before the grid is built: the refusal
+        # allocates nothing near count * 8 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^grid of {count} points above the cap of 200000$")):
+                axis_grid(start, stop, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_accepts_the_cap(self):
+        g = axis_grid(0.0, 199999.0, 1.0)
+        assert len(g) == 200000 and g[-1] == 199999.0
 
     @pytest.mark.parametrize("start, stop, step", [
         (math.nan, 210.0, 0.5), (-math.inf, 210.0, 0.5),
