@@ -58,15 +58,23 @@ class NonHermitianGenerator(ArithmeticError):
     """The reduced equations do not map conjugate elements onto conjugates."""
 
 
+# The steady-state solve's generator slabs grow as ~n_max^3: one call at the
+# sideband point peaked at 0.38 / 0.59 / 0.87 GB (tracemalloc) at n_max 48 /
+# 56 / 64, the last in a 1.0 GB process.  Larger cutoffs are refused.
+_MAX_N_MAX = 64
+
+
 @_checked
 class FockTruncation(NamedTuple):
-    """Photon-number cutoff of the cavity Fock space; at least 1."""
+    """Photon-number cutoff of the cavity Fock space; 1 to _MAX_N_MAX."""
 
     n_max: int
 
     def _check(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > _MAX_N_MAX:
+            raise ValueError(f"n_max {self.n_max} above the cap of {_MAX_N_MAX}")
 
 
 class LimitCycleRecord(NamedTuple):
@@ -346,13 +354,11 @@ def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTrun
 # is doubled until two successive orbits agree to _RTOL of the largest
 # element.  Magnus steps keep h * rho(C) at or below _MAX_STEP_PHASE; the
 # step count starts at the smallest such multiple of _N_SAMPLES and is
-# doubled at most _MAX_DOUBLINGS times.  Exponentials are taken _EXPM_CHUNK
-# steps at a time (1024 peaks ~3 MB higher; 256 runs 2-4 % slower).
+# doubled at most _MAX_DOUBLINGS times.
 _N_SAMPLES = 256
 _RTOL = 1e-10
 _MAX_STEP_PHASE = 2.0
 _MAX_DOUBLINGS = 4
-_EXPM_CHUNK = 512
 # A first step count above this raises up front.  One orbit at the cap
 # takes ~10 s on a 2-core x86 host (~10 us per Magnus step), and the first
 # step-doubling comparison three times that.
@@ -382,9 +388,11 @@ def _generator(coeffs: CoefficientSet, omega_p: float):
     map each element onto its conjugate make all three real.  The defect
     is the largest imaginary part left in T (C, P+M, i(P-M)) T^-1, relative
     to that matrix's largest entry; above _MAX_HERMITICITY_DEFECT it raises
-    NonHermitianGenerator.
+    NonHermitianGenerator; non-finite equations raise ValueError first.
     """
     stack = reduced_operators(coeffs)
+    if not np.isfinite(stack).all():
+        raise ValueError("coefficients must be finite")
     if len(stack) != 1:
         raise ValueError(f"need one coefficient row, got {len(stack)}")
     a0, a_plus, a_minus = stack[0]
@@ -466,25 +474,16 @@ def _sample_maps(C, S, Q, delta_p: float, period: float, n_steps: int,
                  n_samples: int) -> np.ndarray:
     """Propagators of u across each of the n_samples intervals of a period.
 
-    Each is the ordered product of the interval's Magnus step exponentials,
-    taken _EXPM_CHUNK steps at a time.
+    Each is the ordered product of the interval's Magnus step exponentials;
+    one batch of exponentials is step k of every sample interval.
     """
     h = period / n_steps
     per_sample = n_steps // n_samples
-    batch = min(per_sample, _EXPM_CHUNK)                  # steps per interval
-    intervals = max(1, _EXPM_CHUNK // per_sample)         # intervals per chunk
-    maps = np.empty((n_samples, 9, 9))
-    for i0 in range(0, n_samples, intervals):
-        i1 = min(i0 + intervals, n_samples)
-        acc = None
-        for j0 in range(0, per_sample, batch):
-            j = np.arange(j0, min(j0 + batch, per_sample))
-            steps = (np.arange(i0, i1)[:, None] * per_sample + j).ravel()
-            props = _expm(_magnus_exponents(C, S, Q, delta_p, h, steps))
-            props = props.reshape(i1 - i0, len(j), 9, 9)
-            for col in range(len(j)):
-                acc = props[:, col] if acc is None else props[:, col] @ acc
-        maps[i0:i1] = acc
+    first = np.arange(n_samples) * per_sample
+    maps = None
+    for k in range(per_sample):
+        props = _expm(_magnus_exponents(C, S, Q, delta_p, h, first + k))
+        maps = props if maps is None else props @ maps
     return maps
 
 

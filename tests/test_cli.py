@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from vkerr.cli import PRESETS, main
+from vkerr.oracle import _MAX_N_MAX
 
 
 @pytest.fixture
@@ -335,6 +336,17 @@ class TestErrors:
         assert rc == 1 and captured.out == ""
         assert json.loads(captured.err.splitlines()[-1]) == {"error": {
             "type": "ValueError", "message": message}}
+
+    def test_fock_cutoff_above_cap_is_a_value_error(self, config_file,
+                                                    capsys):
+        # refused before the solve allocates its ~n_max^3 slabs
+        rc = main(["oracle-compare", "--config", config_file,
+                   "--fock-cutoff", str(_MAX_N_MAX + 1)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {"error": {
+            "type": "ValueError",
+            "message": f"n_max {_MAX_N_MAX + 1} above the cap of {_MAX_N_MAX}"}}
 
     @pytest.mark.parametrize("argv, named", [
         (["sweep", "--axis", "omega", "--omega", "5", "--format", "json"],

@@ -12,10 +12,10 @@ from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
                    zeroth_order_steady_state)
 from vkerr.dressed import coefficient_rows
 from vkerr.floquet import STATE, HarmonicTable, reduced_operators
-from vkerr.oracle import (_T, _T_INV, _THETA13, _expm, _generator,
-                          _magnus_exponents, _null_state, _photon_pair_groups,
-                          _sample_maps, _trace_row_solve, atom_operators,
-                          full_model, liouvillian)
+from vkerr.oracle import (_MAX_N_MAX, _T, _T_INV, _THETA13, _expm,
+                          _generator, _magnus_exponents, _null_state,
+                          _photon_pair_groups, _sample_maps, _trace_row_solve,
+                          atom_operators, full_model, liouvillian)
 from vkerr.params import ParameterColumns, effective_gamma12
 
 from fullmodel import _dissipator, per_term_liouvillian, real_coordinates
@@ -151,6 +151,19 @@ class TestLiouvillian:
             FockTruncation(0)
         with pytest.raises(ValueError):
             FockTruncation(3)._replace(n_max=0)
+
+    def test_cutoff_cap_refused_before_allocating(self):
+        # the solve's memory grows as ~n_max^3 (0.87 GB at the cap); a
+        # cutoff past the cap is refused before anything is built
+        FockTruncation(_MAX_N_MAX)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap of {_MAX_N_MAX}"):
+                FockTruncation(_MAX_N_MAX + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestLindbladSteadyState:
@@ -429,16 +442,34 @@ class TestTimeDomainReference:
         assert np.abs(z[:, :-1] - orbit).max() <= 1e-9
         assert rec.step_error <= 1e-10 * np.abs(orbit).max()
 
-    def test_chunking_leaves_maps_unchanged(self, gentle_params,
-                                            monkeypatch):
-        # a chunk smaller than one sample interval splits the interval's
-        # product across exponential batches; the maps must not notice
+    def test_maps_are_ordered_step_products(self, gentle_params):
+        # interval j's map is the product of its Magnus steps j * 12 + k,
+        # step k + 1 to the left of step k, built here one step at a time
         (C, S, Q), _ = _generator(coefficient_set(gentle_params), 1e-3)
-        args = (C, S, Q, 0.2, 2.0 * np.pi / 0.2, 96, 8)
-        whole = _sample_maps(*args)
-        monkeypatch.setattr("vkerr.oracle._EXPM_CHUNK", 5)
-        split = _sample_maps(*args)
-        assert np.abs(split - whole).max() <= 1e-13
+        period = 2.0 * np.pi / 0.2
+        ref = np.empty((8, 9, 9))
+        for j in range(8):
+            acc = np.eye(9)
+            for step in range(j * 12, (j + 1) * 12):
+                exponent = _magnus_exponents(C, S, Q, 0.2, period / 96,
+                                             np.array([step]))
+                acc = _expm(exponent)[0] @ acc
+            ref[j] = acc
+        maps = _sample_maps(C, S, Q, 0.2, period, 96, 8)
+        assert np.abs(maps - ref).max() <= 1e-13
+
+    def test_memory_of_one_step_per_interval(self, sideband_params):
+        # a batch of exponentials holds one step of each of the 256 sample
+        # intervals, 166 kB per stack of 9x9 matrices
+        cs = coefficient_set(sideband_params)
+        time_domain_reference(cs, omega_p=1e-3, delta_p=0.25)  # warm caches
+        tracemalloc.start()
+        try:
+            time_domain_reference(cs, omega_p=1e-3, delta_p=0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
 
     def test_zero_delta_p_rejected(self, gentle_params):
         cs = coefficient_set(gentle_params)
@@ -463,6 +494,20 @@ class TestTimeDomainReference:
             ParameterColumns.along(gentle_params, "g1", [1.0, 2.0]))
         with pytest.raises(ValueError, match="one coefficient row, got 2"):
             time_domain_reference(rows, omega_p=1e-3, delta_p=0.2)
+
+    @pytest.mark.parametrize("source", ["degenerate-row", "inf-rate"])
+    def test_non_finite_coefficients_rejected(self, gentle_params, source):
+        # neither is read as a hermiticity defect of nan, and the inf rate
+        # is refused before it reaches a product (no RuntimeWarning)
+        if source == "degenerate-row":
+            coeffs, _ = coefficient_rows(ParameterColumns.along(
+                quiet_params(omega_L_rabi=0.0, delta=0.0)))
+        else:
+            cs = coefficient_set(gentle_params)
+            coeffs = cs._replace(rates=cs.rates._replace(
+                R_plus_minus=math.inf))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            time_domain_reference(coeffs, omega_p=1e-3, delta_p=0.2)
 
     def test_step_budget_checked_before_stepping(self, gentle_params):
         # a period of 6e9 would take ~1e12 Magnus steps; the step count is
