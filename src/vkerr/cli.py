@@ -68,14 +68,14 @@ def _add_grid(p, axis=True):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``--start -4.4e-05`` as a value: argparse's own negative-number
-    pattern has no exponent and takes such a value for an option flag.
-    Subparsers inherit the class."""
+    """Reads ``--start -4.4e-05`` and ``--omega -5.`` as values: argparse's
+    own negative-number pattern has no exponent or trailing dot and takes
+    such a value for an option flag.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:

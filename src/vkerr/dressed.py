@@ -18,8 +18,6 @@ Every formula is written once, as NumPy arithmetic along a row axis:
 parameter set, and ``coefficient_set`` is the one-row call with its fields
 unpacked to Python numbers.  Because a single point is a one-row batch too,
 a row's coefficients are bitwise the same whichever batch computes them.
-``dress``, ``cavity_response``, ``interference_terms`` and ``rate_set``
-also accept a SystemParams and then return numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParameterColumns, SystemParams, _sqrt, effective_gamma12
+from .params import ParameterColumns, SystemParams, effective_gamma12
 
 __all__ = [
     "DegenerateDressing",
@@ -107,27 +105,17 @@ class CoefficientSet(NamedTuple):
 _DEGENERATE = "omega_L_rabi = 0 and delta = 0"
 
 
-def _rabi_frequency(params):
-    return _sqrt(params.delta ** 2 + 4.0 * params.omega_L_rabi ** 2)
-
-
-def dress(params) -> DressedBasis:
+def _dress(params: ParameterColumns) -> DressedBasis:
     """Dressed mixing amplitudes and eigenvalues of the driven transition.
 
-    Raises DegenerateDressing if Omega_R = 0 on any row.
+    A row with Omega_R = 0 gets nan in c and s.
     """
-    omega_R = _rabi_frequency(params)
-    if not np.all(omega_R):
-        raise DegenerateDressing(_DEGENERATE)
-    return _dress(params, omega_R)
-
-
-def _dress(params, omega_R) -> DressedBasis:
+    omega_R = np.sqrt(params.delta ** 2 + 4.0 * params.omega_L_rabi ** 2)
     half_gap = params.delta / (2.0 * omega_R)     # (c^2 - s^2) / 2
     c2, s2 = 0.5 + half_gap, 0.5 - half_gap
     return DressedBasis(
         # clip tiny negative round-off at |delta| >> Omega_L
-        c=_sqrt(np.maximum(c2, 0.0)), s=_sqrt(np.maximum(s2, 0.0)),
+        c=np.sqrt(np.maximum(c2, 0.0)), s=np.sqrt(np.maximum(s2, 0.0)),
         omega_R=omega_R,
         lambda_plus=c2 * omega_R,
         lambda_minus=-s2 * omega_R,
@@ -135,7 +123,8 @@ def _dress(params, omega_R) -> DressedBasis:
     )
 
 
-def cavity_response(params, basis: DressedBasis) -> CavityResponse:
+def cavity_response(params: ParameterColumns,
+                    basis: DressedBasis) -> CavityResponse:
     """Cavity filters B0..B4, with exact denominators."""
     kappa = params.kappa
     dc = params.delta_c
@@ -150,7 +139,7 @@ def cavity_response(params, basis: DressedBasis) -> CavityResponse:
     return CavityResponse(B0=B0, B1=B1, B2=B2, B3=B3, B4=B4)
 
 
-def interference_terms(params, basis: DressedBasis,
+def interference_terms(params: ParameterColumns, basis: DressedBasis,
                        resp: CavityResponse) -> InterferenceTerms:
     c, s = basis.c, basis.s
     g12 = effective_gamma12(params)
@@ -163,7 +152,8 @@ def interference_terms(params, basis: DressedBasis,
     )
 
 
-def rate_set(params, basis: DressedBasis, resp: CavityResponse) -> RateSet:
+def rate_set(params: ParameterColumns, basis: DressedBasis,
+             resp: CavityResponse) -> RateSet:
     c, s = basis.c, basis.s
     c2, s2 = c * c, s * s
     kappa = params.kappa
@@ -215,19 +205,16 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
     harmonic solve fails on their own rows.
     """
     with np.errstate(all="ignore"):
-        omega_R = _rabi_frequency(params)
-        basis = _dress(params, omega_R)
+        basis = _dress(params)
         resp = cavity_response(params, basis)
         coeffs = CoefficientSet(basis, resp, interference_terms(params, basis, resp),
                                 rate_set(params, basis, resp))
     values = [v for block in coeffs for v in block]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
-    failures = {}
-    if not finite.all():     # Omega_R = 0 leaves nan in c and s
-        for row in np.flatnonzero(~finite):
-            failures[int(row)] = (
-                DegenerateDressing(_DEGENERATE) if omega_R[row] == 0.0 else
-                OverflowError("coefficients overflow the floating-point range"))
+    failures = {     # Omega_R = 0 leaves nan in c and s
+        int(row): DegenerateDressing(_DEGENERATE) if basis.omega_R[row] == 0.0
+        else OverflowError("coefficients overflow the floating-point range")
+        for row in np.flatnonzero(~finite)}
     return coeffs, failures
 
 

@@ -10,7 +10,8 @@ Two independent checks live here, on numpy alone:
   photon-number pairs at a time and solved by block elimination over
   the groups.  The state is then checked against the master equation in
   operator form, traced over the cavity and rotated to the dressed basis.
-  It shares nothing with the reduced dynamics but the mixing (c, s).
+  It shares nothing with the reduced dynamics but the mixing (c, s),
+  taken from the one-row dressing that ``coefficient_set`` runs.
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
@@ -34,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dressed import CoefficientSet, dress
+from .dressed import _DEGENERATE, CoefficientSet, DegenerateDressing, _dress
 from .floquet import STATE, SteadyState0, reduced_operators
-from .params import SystemParams, _checked, effective_gamma12
+from .params import ParameterColumns, SystemParams, _checked, effective_gamma12
 
 # the package lists these names to load this module on first use
 from . import _ORACLE_NAMES as __all__
@@ -312,17 +313,19 @@ def lindblad_steady_state(params: SystemParams,
     dim_f = trunc.n_max + 1
     rho_atom = rho.reshape(3, dim_f, 3, dim_f).trace(axis1=1, axis2=3)
 
-    basis = dress(params)
-    c, s = basis.c, basis.s
-    # dressed kets as columns in the bare (|0>, |1>, |2>) ordering
-    minus = np.array([-c, 0.0, s])
-    plus = np.array([s, 0.0, c])
-    one = np.array([0.0, 1.0, 0.0])
+    with np.errstate(all="ignore"):     # Omega_R = 0 leaves nan in c and s
+        basis = _dress(ParameterColumns.along(params))
+    if basis.omega_R[0] == 0.0:
+        raise DegenerateDressing(_DEGENERATE)
+    c, s = basis.c[0], basis.s[0]
+    # dressed kets in the bare (|0>, |1>, |2>) ordering
+    minus, plus, one = np.array([[-c, 0.0, s], [s, 0.0, c], [0.0, 1.0, 0.0]])
+    minus_rho = minus @ rho_atom
     return SteadyState0(
-        rho_11=float(np.real(one @ rho_atom @ one)),
-        rho_mm=float(np.real(minus @ rho_atom @ minus)),
-        rho_pp=float(np.real(plus @ rho_atom @ plus)),
-        rho_m1=complex(minus @ rho_atom @ one),
+        rho_11=float((one @ rho_atom @ one).real),
+        rho_mm=float((minus_rho @ minus).real),
+        rho_pp=float((plus @ rho_atom @ plus).real),
+        rho_m1=complex(minus_rho @ one),
     )
 
 
@@ -351,10 +354,10 @@ def converged_steady_state(params: SystemParams) -> tuple[SteadyState0, FockTrun
 # ---------------------------------------------------------------------------
 
 # The orbit is sampled at _N_SAMPLES points of a period, and the step count
-# is doubled until two successive orbits agree to _RTOL of the largest
-# element.  Magnus steps keep h * rho(C) at or below _MAX_STEP_PHASE; the
-# step count starts at the smallest such multiple of _N_SAMPLES and is
-# doubled at most _MAX_DOUBLINGS times.
+# is doubled until two successive orbits agree to _RTOL of the largest of
+# the nine elements, rho_pp included.  Magnus steps keep h * rho(C) at or
+# below _MAX_STEP_PHASE; the step count starts at the smallest such
+# multiple of _N_SAMPLES and is doubled at most _MAX_DOUBLINGS times.
 _N_SAMPLES = 256
 _RTOL = 1e-10
 _MAX_STEP_PHASE = 2.0
@@ -513,9 +516,9 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
 
     ``coeffs`` holds one parameter set: numbers, or arrays of one row.
     The period map u -> Phi u + p comes from a Magnus propagator whose step
-    count is doubled until two successive orbits agree to _RTOL of the
-    largest element; the cycle is then u* = (1 - Phi)^{-1} p.  A first step
-    count above _MAX_STEPS raises NoLimitCycle before any step is taken.
+    count is doubled until two successive orbits agree to _RTOL of their
+    largest element, rho_pp included; the cycle is u* = (1 - Phi)^{-1} p.
+    A first step count above _MAX_STEPS raises NoLimitCycle up front.
     """
     for name, value in (("delta_p", delta_p), ("omega_p", omega_p)):
         if not math.isfinite(value):
@@ -541,7 +544,8 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
         n_steps *= 2
         orbit = orbit_at(n_steps)
         step_error = np.abs(orbit - coarse).max()
-        if step_error <= _RTOL * np.abs(orbit).max():
+        pp = 1.0 - orbit[:, 0] - orbit[:, 1]      # the ninth element, rho_pp
+        if step_error <= _RTOL * max(np.abs(orbit).max(), np.abs(pp).max()):
             break
         coarse = orbit
     else:
@@ -551,7 +555,7 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
 
     sample_times = period * np.arange(_N_SAMPLES) / _N_SAMPLES
     trajectory = {name: orbit[:, i] for i, name in enumerate(STATE)}
-    trajectory["pp"] = 1.0 - trajectory["mm"] - trajectory["11"]
+    trajectory["pp"] = pp
 
     # phase of each sample relative to the absolute drive clock
     phases = np.exp(-1j * delta_p * sample_times)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from vkerr.dressed import dress
+from vkerr.dressed import coefficient_set
 from vkerr.oracle import FockTruncation, atom_operators
 from vkerr.params import effective_gamma12
 
@@ -81,7 +81,7 @@ def resolvent_chi(params, delta_p_values, n_max=4):
     LA = -1j * (np.kron(A01, eye) - np.kron(eye, A01.T))   # with e^{+i dp t}
     LB = -1j * (np.kron(A10, eye) - np.kron(eye, A10.T))   # with e^{-i dp t}
 
-    basis = dress(params)
+    basis = coefficient_set(params).basis
     c, s = basis.c, basis.s
     minus = np.array([-c, 0.0, s])
     plus = np.array([s, 0.0, c])

@@ -119,10 +119,11 @@ _GRID = ["--start", "200.0", "--stop", "200.2", "--step", "0.1"]
     (["sweep", "--stop", "0.01", "--step", "0.005"], "--start", "-4.4e-05"),
     (["point"], "--omega", "-2.5E+01"),
     (["point", "--omega", "200.1"], "--gamma12", "-1e-03"),
-], ids=["start", "omega", "gamma12"])
+    (["point"], "--omega", "-5."),
+], ids=["start", "omega", "gamma12", "trailing-dot"])
 def test_negative_exponent_value(config_file, capsys, argv, option, value):
-    # argparse's own negative-number pattern has no exponent; the value
-    # after a space must read as it does after "="
+    # argparse's own negative-number pattern has no exponent or trailing
+    # dot; the value after a space must read as it does after "="
     spaced = main(argv + ["--config", config_file, option, value])
     spaced_out = capsys.readouterr().out
     joined = main(argv + ["--config", config_file, f"{option}={value}"])

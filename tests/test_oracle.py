@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vkerr import (DegenerateNullSpace, FockTruncation, NoLimitCycle,
-                   NonConvergedTruncation, NonHermitianGenerator,
+from vkerr import (DegenerateDressing, DegenerateNullSpace, FockTruncation,
+                   NoLimitCycle, NonConvergedTruncation, NonHermitianGenerator,
                    coefficient_set, converged_steady_state,
                    lindblad_steady_state, oracle, time_domain_reference,
                    zeroth_order_steady_state)
@@ -174,6 +174,13 @@ class TestLindbladSteadyState:
         assert ss.rho_mm == pytest.approx(0.5, abs=1e-9)
         assert ss.rho_pp == pytest.approx(0.5, abs=1e-9)
         assert abs(ss.rho_m1) < 1e-9
+
+    def test_degenerate_dressing_raises(self):
+        # the undriven atom has a steady state, but no dressed basis to
+        # project it on
+        p = quiet_params(omega_L_rabi=0.0, delta=0.0, g1=1.0, g2=3.0)
+        with pytest.raises(DegenerateDressing, match="omega_L_rabi = 0"):
+            lindblad_steady_state(p, FockTruncation(2))
 
     def test_sideband_point_matches_reference(self, sideband_params):
         ss = lindblad_steady_state(sideband_params, FockTruncation(4))
@@ -524,6 +531,16 @@ class TestTimeDomainReference:
         cs = coefficient_set(gentle_params)
         with pytest.raises(NoLimitCycle, match="step-doubling"):
             time_domain_reference(cs, omega_p=0.0, delta_p=2.0)
+
+    def test_tolerance_counts_the_upper_dressed_population(self):
+        # the atom sits in |+>: rho_pp ~ 0.986 while the eight sampled
+        # elements stay below 0.014.  The step error falls 16x per doubling
+        # and meets _RTOL of rho_pp, not of the sampled elements alone.
+        cs = coefficient_set(random_params(np.random.default_rng(5)))
+        rec = time_domain_reference(cs, omega_p=0.1, delta_p=0.3)
+        pp = np.abs(rec.trajectory["pp"]).max()
+        assert pp > 0.9
+        assert rec.step_error <= oracle._RTOL * pp
 
 
 class TestAffineGenerator:
