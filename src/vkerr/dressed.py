@@ -123,20 +123,17 @@ def _dress(params: ParameterColumns) -> DressedBasis:
     )
 
 
-def cavity_response(params: ParameterColumns,
-                    basis: DressedBasis) -> CavityResponse:
-    """Cavity filters B0..B4, with exact denominators."""
+def cavity_response(params: ParameterColumns, basis: DressedBasis,
+                    lines: tuple) -> CavityResponse:
+    """Cavity filters B0..B4, exact denominators; ``lines`` from ``coefficient_rows``."""
     kappa = params.kappa
-    dc = params.delta_c
     c2k = basis.c ** 2 * kappa
     s2k = basis.s ** 2 * kappa
-    B0 = c2k / (kappa + 1j * dc)
-    B1 = s2k / (kappa + 1j * (dc + basis.omega_R))
-    B2 = c2k / (kappa + 1j * (dc - basis.omega_R))
-    dc21 = dc + params.omega21
-    B3 = s2k / (kappa + 1j * (dc21 - basis.lambda_minus))
-    B4 = c2k / (kappa + 1j * (dc21 - basis.lambda_plus))
-    return CavityResponse(B0=B0, B1=B1, B2=B2, B3=B3, B4=B4)
+    d1, d2, d3, d4 = lines
+    return CavityResponse(
+        B0=c2k / (kappa + 1j * params.delta_c),
+        B1=s2k / (kappa + 1j * d1), B2=c2k / (kappa + 1j * d2),
+        B3=s2k / (kappa + 1j * d3), B4=c2k / (kappa + 1j * d4))
 
 
 def interference_terms(params: ParameterColumns, basis: DressedBasis,
@@ -153,20 +150,17 @@ def interference_terms(params: ParameterColumns, basis: DressedBasis,
 
 
 def rate_set(params: ParameterColumns, basis: DressedBasis,
-             resp: CavityResponse) -> RateSet:
+             resp: CavityResponse, lines: tuple) -> RateSet:
     c, s = basis.c, basis.s
     c2, s2 = c * c, s * s
     kappa = params.kappa
     g1sq = params.g1 ** 2 / kappa
     g2sq = params.g2 ** 2 / kappa
-    dc = params.delta_c
-    dc21 = dc + params.omega21
 
-    # |B_i|^2 / amplitude^4 written as unit Lorentzians; removable 0/0 at c or s = 0
+    # |B_i|^2 / amplitude^4 written as unit Lorentzians in the same
+    # ``lines`` as the filters; removable 0/0 at c or s = 0
     kk = kappa * kappa
-    L1, L2, L3, L4 = (kk / (kk + d * d) for d in (
-        dc + basis.omega_R, dc - basis.omega_R,
-        dc21 - basis.lambda_minus, dc21 - basis.lambda_plus))
+    L1, L2, L3, L4 = (kk / (kk + d * d) for d in lines)
 
     R_pm = 2.0 * c2 * c2 * (params.gamma2 + g2sq * L2)
     R_mp = 2.0 * s2 * s2 * (params.gamma2 + g2sq * L1)
@@ -206,9 +200,13 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
     """
     with np.errstate(all="ignore"):
         basis = _dress(params)
-        resp = cavity_response(params, basis)
+        # delta_c - nu at the dressed emission lines nu of B1..B4
+        dc, dc21 = params.delta_c, params.delta_c + params.omega21
+        lines = (dc + basis.omega_R, dc - basis.omega_R,
+                 dc21 - basis.lambda_minus, dc21 - basis.lambda_plus)
+        resp = cavity_response(params, basis, lines)
         coeffs = CoefficientSet(basis, resp, interference_terms(params, basis, resp),
-                                rate_set(params, basis, resp))
+                                rate_set(params, basis, resp, lines))
     values = [v for block in coeffs for v in block]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
     failures = {     # Omega_R = 0 leaves nan in c and s

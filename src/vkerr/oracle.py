@@ -6,12 +6,13 @@ Two independent checks live here, on numpy alone:
   (probe off) on a truncated Fock space.  It holds a Hermitian rho as the
   real matrix Y = Re rho + Im rho, in which the equation is real-linear.
   The real generator, with one diagonal row replaced by the trace
-  condition, is filled by index from H and the jumps one group of
-  photon-number pairs at a time and solved by block elimination over
-  the groups.  The state is then checked against the master equation in
-  operator form, traced over the cavity and rotated to the dressed basis.
-  It shares nothing with the reduced dynamics but the mixing (c, s),
-  taken from the one-row dressing that ``coefficient_set`` runs.
+  condition, is filled by index from K = -i H - Gamma and the jumps,
+  formed once per solve, one group of photon-number pairs at a time, and
+  solved by block elimination over the groups.  The state is then checked
+  against the master equation in operator form, traced over the cavity
+  and rotated to the dressed basis.  It shares nothing with the reduced
+  dynamics but the mixing (c, s), taken from the one-row dressing that
+  ``coefficient_set`` runs.
 
 * ``time_domain_reference`` solves the reduced periodic-coefficient
   equations of motion with the probe at finite amplitude, not order by
@@ -19,13 +20,13 @@ Two independent checks live here, on numpy alone:
   one place they are written, and maps them once into real coordinates
   (each conjugate pair of unknowns becomes its real and imaginary part),
   where the equations are real.  There it builds the one-period
-  monodromy map with a fourth-order Magnus propagator (batched Pade-13
-  exponentials of real 9x9 matrices), solves for the limit cycle as the
-  map's fixed point, maps the orbit back to the complex unknowns and
-  reads harmonic amplitudes off a DFT over one period.  Step doubling
-  bounds the propagator error.  Only the equations are shared with the
-  Floquet solve, so this validates its perturbative expansion order by
-  order.
+  monodromy map with a fourth-order Magnus propagator (closed-form step
+  exponents from three real 9x9 matrices per step size, batched Pade-13
+  exponentials), solves for the limit cycle as the map's fixed point,
+  maps the orbit back to the complex unknowns and reads harmonic
+  amplitudes off a DFT over one period.  Step doubling bounds the
+  propagator error.  Only the equations are shared with the Floquet
+  solve, so this validates its perturbative expansion order by order.
 """
 
 from __future__ import annotations
@@ -72,10 +73,13 @@ class FockTruncation(NamedTuple):
     n_max: int
 
     def _check(self):
-        if self.n_max < 1:
+        n = self.n_max
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"n_max must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("n_max must be >= 1")
-        if self.n_max > _MAX_N_MAX:
-            raise ValueError(f"n_max {self.n_max} above the cap of {_MAX_N_MAX}")
+        if n > _MAX_N_MAX:
+            raise ValueError(f"n_max {n} above the cap of {_MAX_N_MAX}")
 
 
 class LimitCycleRecord(NamedTuple):
@@ -132,11 +136,12 @@ def atom_operators(n_max: int):
 
 
 def full_model(params: SystemParams, trunc: FockTruncation):
-    """Probe-free H and jump list [(rate, L1, L2), ...] on atom x Fock.
+    """Probe-free K and jump list [(rate, L1, L2), ...] on atom x Fock.
 
     The master equation reads rho' = K rho + rho K+ + sum 2 rate L1 rho L2+
-    with K = -i H - sum rate L2+ L1.  The cross-damping pair enters in both
-    orders, so that sum is Hermitian.  H and every L are real matrices.
+    with K = -i H - Gamma, Gamma = sum rate L2+ L1.  The cross-damping pair
+    enters in both orders, so Gamma is Hermitian.  H, Gamma and every L are
+    real matrices.
     """
     ops, a = atom_operators(trunc.n_max)
     ad = a.T
@@ -155,32 +160,30 @@ def full_model(params: SystemParams, trunc: FockTruncation):
     if g12 != 0.0:
         jumps += [(g12, ops[(0, 1)], ops[(0, 2)]),
                   (g12, ops[(0, 2)], ops[(0, 1)])]
-    return H, jumps
+    return -1j * H - sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps), jumps
 
 
-def liouvillian(H: np.ndarray, jumps: list, rows) -> np.ndarray:
+def liouvillian(K: np.ndarray, jumps: list, rows) -> np.ndarray:
     """Rows ``rows`` of the real generator R, d^2 x d^2, of ``full_model``.
 
     A Hermitian rho is held as the real matrix Y = Re rho + Im rho, so that
     rho = (Y + Y^T)/2 + i (Y - Y^T)/2, row-major: vec(Y)[i*d+j] = Y[i, j].
     Then Y' = Re rho' + Im rho' is real-linear in Y, and R equals
     L.real + L.imag[:, swap] for the complex Liouvillian L, where swap
-    takes the column of (k, l) to that of (l, k).  With H, Gamma =
-    sum rate L2^T L1 and the L real, row r = i*d + j as a d x d array is
-    out[r, :, j] -= Gamma[i] and out[r, j, :] -= H[i] (from K rho),
-    out[r, i, :] -= Gamma[j] and out[r, :, i] += H[j] (from rho K+), and
+    takes the column of (k, l) to that of (l, k).  With K = -i H - Gamma
+    and H, Gamma and the L real, row r = i*d + j as a d x d array is
+    out[r, :, j] += Re K[i] and out[r, j, :] += Im K[i] (from K rho),
+    out[r, i, :] += Re K[j] and out[r, :, i] -= Im K[j] (from rho K+), and
     each nonzero L1[i, k] of a jump adds 2 rate L1[i, k] L2[j] to out[r, k].
     """
-    d = H.shape[0]
-    gamma = sum((rate * (L2.T @ L1) for rate, L1, L2 in jumps),
-                np.zeros_like(H))
+    d = K.shape[0]
     i, j = np.divmod(np.asarray(rows), d)
     r = np.arange(len(i))
     out = np.zeros((len(i), d, d))
-    out[r, :, j] -= gamma[i]
-    out[r, i, :] -= gamma[j]
-    out[r, j, :] -= H[i]
-    out[r, :, i] += H[j]
+    out[r, :, j] += K.real[i]
+    out[r, i, :] += K.real[j]
+    out[r, j, :] += K.imag[i]
+    out[r, :, i] -= K.imag[j]
     for rate, L1, L2 in jumps:
         nz, k = np.nonzero(L1[i])
         out[nz, k] += 2.0 * rate * L1[i[nz], k][:, None] * L2[j[nz]]
@@ -190,15 +193,15 @@ def liouvillian(H: np.ndarray, jumps: list, rows) -> np.ndarray:
 def _photon_pair_groups(n_max: int) -> list:
     """vec indices of Y[(a, n), (b, m)] by (n + m) // 2, the first from Y_00.
 
-    H and K change n or m by one and the cavity jump a rho a+ lowers both,
-    so ``liouvillian`` is block-tridiagonal in these groups.
+    K changes n or m by at most one and the cavity jump a rho a+ lowers
+    both, so ``liouvillian`` is block-tridiagonal in these groups.
     """
     n = np.arange(3 * (n_max + 1)) % (n_max + 1)
     g = (n[:, None] + n).ravel() // 2
     return [np.flatnonzero(g == k) for k in range(n_max + 1)]
 
 
-def _trace_row_solve(H: np.ndarray, jumps: list, groups: list,
+def _trace_row_solve(K: np.ndarray, jumps: list, groups: list,
                      b: np.ndarray):
     """x with A x = b, and the column sums of |A|, for the trace-row system.
 
@@ -211,12 +214,12 @@ def _trace_row_solve(H: np.ndarray, jumps: list, groups: list,
     as sum_{j>=k} t_j x_j = tau_k x_k + c_k, tau_k = t_k + tau_k+1 M_k+1,
     and closes group 0.  One group is a plain dense solve.
     """
-    trace = np.eye(H.shape[0]).reshape(-1)
+    trace = np.eye(K.shape[0]).reshape(-1)
     norm = np.zeros(len(b))
     chain, tail, shift = [], 0.0, 0.0   # [M_k, v_k] for k = 1, 2, ...
     for k in reversed(range(len(groups))):
         rows = groups[k]
-        slab = liouvillian(H, jumps, rows)
+        slab = liouvillian(K, jumps, rows)
         if k == 0:
             slab[0] = trace
         norm += np.abs(slab).sum(axis=0)
@@ -239,8 +242,8 @@ def _trace_row_solve(H: np.ndarray, jumps: list, groups: list,
     return x, norm
 
 
-def _null_state(H: np.ndarray, jumps: list, groups: list) -> np.ndarray:
-    """Unique trace-one steady state of (H, jumps), by ``_trace_row_solve``.
+def _null_state(K: np.ndarray, jumps: list, groups: list) -> np.ndarray:
+    """Unique trace-one steady state of (K, jumps), by ``_trace_row_solve``.
 
     The diagonal rows of a trace-preserving generator sum to zero, so Y_00's
     equation is redundant and gives way to the trace of rho, that of Y
@@ -253,13 +256,13 @@ def _null_state(H: np.ndarray, jumps: list, groups: list) -> np.ndarray:
     one-dimensional.  rho is Hermitian by construction; an eigenvalue below
     -1e-9 at unit trace makes it no physical state and raises too.
     """
-    dim = H.shape[0]
+    dim = K.shape[0]
     k2 = np.arange(dim * dim, dtype=float) ** 2
     b = np.zeros((dim * dim, 3))
     b[0, 0] = 1.0
     b[:, 1], b[:, 2] = np.sin(k2), np.cos(math.sqrt(2.0) * k2)
     try:
-        x, norm = _trace_row_solve(H, jumps, groups, b)
+        x, norm = _trace_row_solve(K, jumps, groups, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateNullSpace(f"trace-row system singular: {exc}") from exc
     growth = (np.abs(x).sum(axis=0) / np.abs(b).sum(axis=0)).max()
@@ -279,7 +282,7 @@ def _null_state(H: np.ndarray, jumps: list, groups: list) -> np.ndarray:
 
 
 # Above this residual of the operator-form master equation, relative to
-# ||K||_1 ||rho||_max, the solution of R is not a steady state of (H,
+# ||K||_1 ||rho||_max, the solution of R is not a steady state of (K,
 # jumps): R was assembled wrong.  Clean solves read 2.4e-18 to 7.3e-17 over
 # the 25 generators above; a 1e-3 error in one entry of R reads ~4e-7.
 _MAX_RESIDUAL = 1e-12
@@ -291,12 +294,11 @@ def lindblad_steady_state(params: SystemParams,
 
     The state solved from ``liouvillian`` is checked against the master
     equation in operator form, K rho + rho K+ + sum 2 rate L1 rho L2+,
-    from the same (H, jumps) by d x d products that do not read R; a
+    from the same (K, jumps) by d x d products that do not read R; a
     relative residual above _MAX_RESIDUAL raises DegenerateNullSpace.
     """
-    H, jumps = full_model(params, trunc)
-    rho = _null_state(H, jumps, _photon_pair_groups(trunc.n_max))
-    K = -1j * H - sum(rate * (L2.T @ L1) for rate, L1, L2 in jumps)
+    K, jumps = full_model(params, trunc)
+    rho = _null_state(K, jumps, _photon_pair_groups(trunc.n_max))
     # rho is Hermitian, so rho K+ is (K rho)+
     drift = K @ rho
     residual = drift + drift.conj().T
@@ -448,44 +450,38 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _magnus_exponents(C, S, Q, delta_p: float, h: float,
-                      steps: np.ndarray) -> np.ndarray:
-    """Real exponent Omega of Magnus step k in ``steps``, over [k h, (k+1) h].
+def _magnus_matrices(C, S, Q, brackets, delta_p: float, h: float):
+    """(M0, M1, M2), stacked, of the Magnus steps of size h.
 
     Fourth-order Magnus step on the two Gauss-Legendre nodes,
     Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 151 (2009)), in the real coordinates u = T z~.
-    With A_j = C + a_j S + b_j Q, a_j = cos(d t_j) and b_j = sin(d t_j),
-    [A2, A1] = (a1 - a2) [C, S] + (b1 - b2) [C, Q] + (a2 b1 - a1 b2) [S, Q],
-    so every Omega is a real linear combination of six fixed 9x9 matrices.
+    A(t) = C + cos(d t) S + sin(d t) Q at the nodes' phases psi -+ e,
+    e = d h sqrt(3)/6, around the midpoint phase psi gives Omega =
+    M0 + cos(psi) M1 + sin(psi) M2; ``brackets`` is ([C, S], [C, Q], [S, Q]).
     """
-    basis = np.stack([C, S, Q, C @ S - S @ C, C @ Q - Q @ C, S @ Q - Q @ S])
-    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+    cs, cq, sq = brackets
+    e = delta_p * h * math.sqrt(3.0) / 6.0
     k = math.sqrt(3.0) * h * h / 12.0
-    phase = delta_p * h * (steps[:, None] + nodes)
-    (a1, a2), (b1, b2) = np.cos(phase).T, np.sin(phase).T
-    w = np.stack([np.full(len(steps), h),
-                  0.5 * h * (a1 + a2), 0.5 * h * (b1 + b2),
-                  k * (a1 - a2), k * (b1 - b2), k * (a2 * b1 - a1 * b2)],
-                 axis=1)
-    # einsum, not tensordot: a threaded BLAS product here leaves worker
-    # threads spinning that slow every later small expm two- to threefold
-    return np.einsum("nk,kij->nij", w, basis)
+    return np.stack([h * C - k * math.sin(2.0 * e) * sq,
+                     h * math.cos(e) * S - 2.0 * k * math.sin(e) * cq,
+                     h * math.cos(e) * Q + 2.0 * k * math.sin(e) * cs])
 
 
-def _sample_maps(C, S, Q, delta_p: float, period: float, n_steps: int,
+def _sample_maps(m: np.ndarray, delta_p: float, h: float, n_steps: int,
                  n_samples: int) -> np.ndarray:
     """Propagators of u across each of the n_samples intervals of a period.
 
-    Each is the ordered product of the interval's Magnus step exponentials;
+    Each is the ordered product of the interval's Magnus step exponentials,
+    step j's from the (M0, M1, M2) of step size h at psi = d h (j + 1/2);
     one batch of exponentials is step k of every sample interval.
     """
-    h = period / n_steps
     per_sample = n_steps // n_samples
     first = np.arange(n_samples) * per_sample
     maps = None
     for k in range(per_sample):
-        props = _expm(_magnus_exponents(C, S, Q, delta_p, h, first + k))
+        psi = (delta_p * h * (first + k + 0.5))[:, None, None]
+        props = _expm(m[0] + np.cos(psi) * m[1] + np.sin(psi) * m[2])
         maps = props if maps is None else props @ maps
     return maps
 
@@ -527,10 +523,12 @@ def time_domain_reference(coeffs: CoefficientSet, omega_p: float,
         raise ValueError("delta_p must be non-zero for a well-defined period")
     period = 2.0 * math.pi / abs(delta_p)
     (C, S, Q), defect = _generator(coeffs, omega_p)
+    brackets = C @ S - S @ C, C @ Q - Q @ C, S @ Q - Q @ S
 
     def orbit_at(n_steps):
-        return _limit_cycle(_sample_maps(C, S, Q, delta_p, period, n_steps,
-                                         _N_SAMPLES))
+        h = period / n_steps
+        m = _magnus_matrices(C, S, Q, brackets, delta_p, h)
+        return _limit_cycle(_sample_maps(m, delta_p, h, n_steps, _N_SAMPLES))
 
     rate = np.abs(np.linalg.eigvals(C[:8, :8])).max()
     n_steps = _N_SAMPLES * max(1, math.ceil(period * rate / (_MAX_STEP_PHASE

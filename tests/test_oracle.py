@@ -13,7 +13,7 @@ from vkerr import (DegenerateDressing, DegenerateNullSpace, FockTruncation,
 from vkerr.dressed import coefficient_rows
 from vkerr.floquet import STATE, HarmonicTable, reduced_operators
 from vkerr.oracle import (_MAX_N_MAX, _T, _T_INV, _THETA13, _expm,
-                          _generator, _magnus_exponents, _null_state,
+                          _generator, _magnus_matrices, _null_state,
                           _photon_pair_groups, _sample_maps, _trace_row_solve,
                           atom_operators, full_model, liouvillian)
 from vkerr.params import ParameterColumns, effective_gamma12
@@ -34,32 +34,33 @@ def _svd_null_state(L, dim):
     return rho / np.trace(rho).real
 
 
-def _dense(H, jumps):
+def _dense(K, jumps):
     """The whole real generator R: ``liouvillian`` over all d^2 rows."""
-    return liouvillian(H, jumps, np.arange(H.shape[0] ** 2))
+    return liouvillian(K, jumps, np.arange(K.shape[0] ** 2))
 
 
-def _trace_row_system(H, jumps):
+def _trace_row_system(K, jumps):
     """R with Y_00's row replaced by vec(I), as the steady-state solve sees it."""
-    A = _dense(H, jumps)
-    A[0] = np.eye(H.shape[0]).reshape(-1)
+    A = _dense(K, jumps)
+    A[0] = np.eye(K.shape[0]).reshape(-1)
     return A
 
 
 def _toy_model(energies, decays):
-    """(H, jumps) of a d-level atom, H = diag(energies), jumps |j><i| at rate g.
+    """(K, jumps) of a d-level atom, H = diag(energies), jumps |j><i| at rate g.
 
-    ``decays`` holds (g, i, j) for a decay i -> j.  The solves take its
-    d^2 unknowns as one group.
+    ``decays`` holds (g, i, j) for a decay i -> j, and K = -i H - sum g
+    |i><i| as ``full_model`` writes it.  The solves take its d^2 unknowns
+    as one group.
     """
     d = len(energies)
-    H = np.diag(np.asarray(energies, dtype=float))
     jumps = []
     for g, i, j in decays:
         jump = np.zeros((d, d))
         jump[j, i] = 1.0
         jumps.append((g, jump, jump))
-    return H, jumps
+    K = -1j * np.diag(np.asarray(energies, dtype=float))
+    return K - sum(g * (L2.T @ L1) for g, L1, L2 in jumps), jumps
 
 
 def _toy_null_state(energies, decays):
@@ -107,19 +108,19 @@ class TestLiouvillian:
     def test_toy_model_matches_kron_construction(self):
         # the one-group toy models of TestNullState, against the kron
         # superoperators of fullmodel.py
-        H, jumps = _toy_model(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
-        eye = np.eye(3)
+        K, jumps = _toy_model(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
+        H, eye = np.diag(np.arange(3.0)), np.eye(3)
         L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
         for rate, L1, L2 in jumps:
             L = L + rate * _dissipator(L1, L2)
-        assert np.abs(_dense(H, jumps) - real_coordinates(L)).max() <= 1e-15
+        assert np.abs(_dense(K, jumps) - real_coordinates(L)).max() <= 1e-15
 
     def test_row_slabs_are_rows_of_the_generator(self, sideband_params):
         # any subset of rows, in any order, is bit for bit those rows of R
-        H, jumps = full_model(sideband_params, FockTruncation(2))
-        rows = np.random.default_rng(1).permutation(H.shape[0] ** 2)[:40]
-        assert np.array_equal(liouvillian(H, jumps, rows),
-                              _dense(H, jumps)[rows])
+        K, jumps = full_model(sideband_params, FockTruncation(2))
+        rows = np.random.default_rng(1).permutation(K.shape[0] ** 2)[:40]
+        assert np.array_equal(liouvillian(K, jumps, rows),
+                              _dense(K, jumps)[rows])
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
     def test_block_tridiagonal_in_photon_pairs(self, sideband_params,
@@ -128,14 +129,14 @@ class TestLiouvillian:
         # every nonzero of R couples a group to itself or a neighbour, and
         # the groups partition the unknowns with Y_00 first
         params = sideband_params.replace(theta=0.6)
-        H, jumps = full_model(params, FockTruncation(n_max))
+        K, jumps = full_model(params, FockTruncation(n_max))
         groups = _photon_pair_groups(n_max)
-        label = np.empty(H.shape[0] ** 2, dtype=int)
+        label = np.empty(K.shape[0] ** 2, dtype=int)
         for k, rows in enumerate(groups):
             label[rows] = k
         assert len(groups) == n_max + 1 and groups[0][0] == 0
         assert sorted(np.concatenate(groups)) == list(range(len(label)))
-        rows, cols = np.nonzero(_dense(H, jumps)[1:])
+        rows, cols = np.nonzero(_dense(K, jumps)[1:])
         gap = np.abs(label[rows + 1] - label[cols])
         assert gap.max() == 1
 
@@ -151,6 +152,14 @@ class TestLiouvillian:
             FockTruncation(0)
         with pytest.raises(ValueError):
             FockTruncation(3)._replace(n_max=0)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3"])
+    def test_non_integer_cutoff_refused(self, n_max):
+        # a float cutoff would fail deep inside the operator build, and
+        # True would run as n_max 1; a NumPy integer is an integer
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            FockTruncation(n_max)
+        assert FockTruncation(np.int64(3)).n_max == 3
 
     def test_cutoff_cap_refused_before_allocating(self):
         # the solve's memory grows as ~n_max^3 (0.87 GB at the cap); a
@@ -206,12 +215,12 @@ class TestLindbladSteadyState:
         # sides; the column sums of |A| are gathered slab by slab
         params = _draw(request, draw)
         for n_max in (1, 2, 4, 8):
-            H, jumps = full_model(params, FockTruncation(n_max))
-            A = _trace_row_system(H, jumps)
+            K, jumps = full_model(params, FockTruncation(n_max))
+            A = _trace_row_system(K, jumps)
             k2 = np.arange(len(A), dtype=float) ** 2
             b = np.stack([k2 == 0, np.sin(k2), np.cos(math.sqrt(2.0) * k2)],
                          axis=1) * 1.0
-            x, norm = _trace_row_solve(H, jumps, _photon_pair_groups(n_max), b)
+            x, norm = _trace_row_solve(K, jumps, _photon_pair_groups(n_max), b)
             ref = np.linalg.solve(A, b)
             error = np.abs(x - ref).max(axis=0) / np.abs(ref).max(axis=0)
             assert error.max() <= 1e-12
@@ -283,11 +292,11 @@ class TestNullState:
         params = _draw(request, draw)
         monkeypatch.setattr(oracle, "_MAX_TRACE_ROW_COND", 0.0)
         for n_max in (1, 2, 4):
-            H, jumps = full_model(params, FockTruncation(n_max))
+            K, jumps = full_model(params, FockTruncation(n_max))
             with pytest.raises(DegenerateNullSpace) as info:
-                _null_state(H, jumps, _photon_pair_groups(n_max))
+                _null_state(K, jumps, _photon_pair_groups(n_max))
             estimate = float(re.search(r"estimate (\S+)", str(info.value))[1])
-            A = _trace_row_system(H, jumps)
+            A = _trace_row_system(K, jumps)
             assert 3e-2 <= estimate / np.linalg.cond(A, 1) <= 1.0
 
     def test_misassembled_generator_is_typed(self, sideband_params,
@@ -295,9 +304,9 @@ class TestNullState:
         # Y_{(0,0),(2,0)} damped 1e-3 faster than the master equation says:
         # the solve still yields a unit-trace Hermitian state, which only
         # the operator-form residual, built without R, can reject
-        def skewed(H, jumps, rows):
-            slab = liouvillian(H, jumps, rows)
-            k = 2 * H.shape[0] // 3   # row-major vec index of that element
+        def skewed(K, jumps, rows):
+            slab = liouvillian(K, jumps, rows)
+            k = 2 * K.shape[0] // 3   # row-major vec index of that element
             slab[rows == k, k] -= 1e-3
             return slab
 
@@ -308,6 +317,14 @@ class TestNullState:
     def test_unique_state_of_a_single_sink(self):
         rho = _toy_null_state(np.arange(3.0), [(1.0, 1, 0), (0.5, 2, 1)])
         assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() <= 1e-14
+
+
+def _step_exponents(C, S, Q, delta_p, h, steps):
+    """Exponents of Magnus steps ``steps``, M0 + cos(psi) M1 + sin(psi) M2."""
+    brackets = C @ S - S @ C, C @ Q - Q @ C, S @ Q - Q @ S
+    m = _magnus_matrices(C, S, Q, brackets, delta_p, h)
+    psi = (delta_p * h * (steps + 0.5))[:, None, None]
+    return m[0] + np.cos(psi) * m[1] + np.sin(psi) * m[2]
 
 
 def _expm_rel_error(a):
@@ -323,7 +340,7 @@ class TestExpm:
         cs = coefficient_set(sideband_params)
         (C, S, Q), _ = _generator(cs, 1e-3)
         h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
-        omega = _magnus_exponents(C, S, Q, 0.25, h, np.arange(1024))
+        omega = _step_exponents(C, S, Q, 0.25, h, np.arange(1024))
         assert np.abs(omega).sum(axis=-2).max() < _THETA13
         assert _expm_rel_error(omega) <= 1e-13
 
@@ -453,16 +470,17 @@ class TestTimeDomainReference:
         # interval j's map is the product of its Magnus steps j * 12 + k,
         # step k + 1 to the left of step k, built here one step at a time
         (C, S, Q), _ = _generator(coefficient_set(gentle_params), 1e-3)
-        period = 2.0 * np.pi / 0.2
+        h = 2.0 * np.pi / 0.2 / 96
         ref = np.empty((8, 9, 9))
         for j in range(8):
             acc = np.eye(9)
             for step in range(j * 12, (j + 1) * 12):
-                exponent = _magnus_exponents(C, S, Q, 0.2, period / 96,
-                                             np.array([step]))
+                exponent = _step_exponents(C, S, Q, 0.2, h, np.array([step]))
                 acc = _expm(exponent)[0] @ acc
             ref[j] = acc
-        maps = _sample_maps(C, S, Q, 0.2, period, 96, 8)
+        brackets = C @ S - S @ C, C @ Q - Q @ C, S @ Q - Q @ S
+        m = _magnus_matrices(C, S, Q, brackets, 0.2, h)
+        maps = _sample_maps(m, 0.2, h, 96, 8)
         assert np.abs(maps - ref).max() <= 1e-13
 
     def test_memory_of_one_step_per_interval(self, sideband_params):
@@ -566,19 +584,21 @@ class TestAffineGenerator:
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(ours[:8] - ref).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("omega_p", [1e-3, 1.0])
+    @pytest.mark.parametrize("omega_p, dp", [(1e-3, 0.25), (1.0, 0.25),
+                                             (1.0, -0.7)],
+                             ids=["0.001", "1.0", "1.0-negative-delta_p"])
     def test_magnus_exponent_matches_textbook_form(self, sideband_params,
-                                                   omega_p):
+                                                   omega_p, dp):
         # Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] with A(t) formed
-        # as a complex matrix at each Gauss node, against the real-coordinate
-        # exponent mapped back through T; at omega_p 1 the [S, Q] term,
-        # second order in the probe, is large enough to be checked too
+        # as a complex matrix at each Gauss node, against the closed-form
+        # real-coordinate exponent mapped back through T; at omega_p 1 the
+        # [S, Q] term, second order in the probe, is large enough to be
+        # checked too, and a negative delta_p pins the sign of the phases
         cs = coefficient_set(sideband_params)
         (C, S, Q), _ = _generator(cs, omega_p)
         ops = np.zeros((3, 9, 9), dtype=complex)
         ops[:, :8] = reduced_operators(cs)[0]
         c0, p0, m0 = ops[0], omega_p * ops[1], omega_p * ops[2]
-        dp = 0.25
         h = 2.0 / np.abs(np.linalg.eigvals(C[:8, :8])).max()
         steps = np.arange(1024)
         t1, t2 = (h * (steps + 0.5 + sign * math.sqrt(3.0) / 6.0)
@@ -588,5 +608,5 @@ class TestAffineGenerator:
                   for t in (t1, t2))
         ref = (0.5 * h * (a1 + a2)
                + math.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2))
-        ours = _T_INV @ _magnus_exponents(C, S, Q, dp, h, steps) @ _T
+        ours = _T_INV @ _step_exponents(C, S, Q, dp, h, steps) @ _T
         assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
