@@ -7,11 +7,19 @@ The strong drive on |0> <-> |2> is diagonalized into dressed states
     |1>,                 lambda_1 = -(omega21 - delta)
 
 with c, s >= 0 and Omega_R = sqrt(delta^2 + 4 Omega_L^2).  Eliminating the
-strongly damped cavity mode leaves the atom with frequency-selective decay:
-every rate picks up a cavity filter B_i = (amplitude^2) * kappa / (kappa +
-i(delta_c - nu)) evaluated at the dressed emission frequency nu, and the
-shared mode generates cross couplings x_1..x_4 between the two transitions
-that play the role of a spontaneously generated coherence.
+strongly damped cavity mode leaves the atom with frequency-selective decay.
+Each decay channel, |1> -> |0>, |2> -> |0> and their cross damping, has a
+free-space rate and a Purcell rate filtered by the cavity spectrum
+f = kappa / (kappa + i(delta_c - nu)) at the dressed emission line nu:
+
+    D11 = gamma1 + (g1^2/kappa) f,   D22 = gamma2 + (g2^2/kappa) f,
+    D12 = gamma12 + (g1 g2/kappa) f,
+
+each at the five lines of B0..B4.  Every rate, and every cross coupling
+x_1..x_4 between the two transitions (the cavity-induced analogue of a
+spontaneously generated coherence), is a sum of these channel rates
+weighted by the dressed amplitudes, so free space is the flat limit f = 1.
+The filters B_i = (amplitude^2) f_i are kept for output.
 
 Every formula is written once, as NumPy arithmetic along a row axis:
 ``coefficient_rows`` evaluates it on ParameterColumns, one row per
@@ -123,73 +131,6 @@ def _dress(params: ParameterColumns) -> DressedBasis:
     )
 
 
-def cavity_response(params: ParameterColumns, basis: DressedBasis,
-                    lines: tuple) -> CavityResponse:
-    """Cavity filters B0..B4, exact denominators; ``lines`` from ``coefficient_rows``."""
-    kappa = params.kappa
-    c2k = basis.c ** 2 * kappa
-    s2k = basis.s ** 2 * kappa
-    d1, d2, d3, d4 = lines
-    return CavityResponse(
-        B0=c2k / (kappa + 1j * params.delta_c),
-        B1=s2k / (kappa + 1j * d1), B2=c2k / (kappa + 1j * d2),
-        B3=s2k / (kappa + 1j * d3), B4=c2k / (kappa + 1j * d4))
-
-
-def interference_terms(params: ParameterColumns, basis: DressedBasis,
-                       resp: CavityResponse) -> InterferenceTerms:
-    c, s = basis.c, basis.s
-    g12 = effective_gamma12(params)
-    gg = params.g1 * params.g2 / params.kappa
-    return InterferenceTerms(
-        x1=(c * c - s * s) * g12 + gg * (resp.B0 - resp.B3.conjugate()),
-        x2=g12 + gg * (resp.B0 + resp.B1),
-        x3=(2.0 * c * s + 1.0) * g12 + gg * (resp.B0.conjugate() + 2.0 * resp.B4 + resp.B3),
-        x4=g12 + gg * (resp.B3 + resp.B4),
-    )
-
-
-def rate_set(params: ParameterColumns, basis: DressedBasis,
-             resp: CavityResponse, lines: tuple) -> RateSet:
-    c, s = basis.c, basis.s
-    c2, s2 = c * c, s * s
-    kappa = params.kappa
-    g1sq = params.g1 ** 2 / kappa
-    g2sq = params.g2 ** 2 / kappa
-
-    # |B_i|^2 / amplitude^4 written as unit Lorentzians in the same
-    # ``lines`` as the filters; removable 0/0 at c or s = 0
-    kk = kappa * kappa
-    L1, L2, L3, L4 = (kk / (kk + d * d) for d in lines)
-
-    R_pm = 2.0 * c2 * c2 * (params.gamma2 + g2sq * L2)
-    R_mp = 2.0 * s2 * s2 * (params.gamma2 + g2sq * L1)
-    R_1m = 2.0 * c2 * (params.gamma1 + g1sq * L4)
-    R_1p = 2.0 * s2 * (params.gamma1 + g1sq * L3)
-
-    B0, B1, B2, B3, B4 = resp.B0, resp.B1, resp.B2, resp.B3, resp.B4
-    Gamma0 = (params.gamma2 * (1.0 + 2.0 * c2 * s2)
-              + g2sq * (s2 * (2.0 * (B0 + B0.conjugate()) + B1) + c2 * B2))
-    # gamma1 and the g1 channel enter Gamma_- and Gamma_+ alike
-    probe_line = params.gamma1 + g1sq * (B3.conjugate() + B4.conjugate())
-    Gamma_minus = probe_line + s2 * (params.gamma2 + g2sq * (B0 + B1))
-    Gamma_plus = (probe_line + c2 * (params.gamma2 + g2sq * B2)
-                  + s2 * g2sq * B0)
-    # rho_{-+} damping: B2 sits on the |+> (right) side, so it enters conjugated
-    gamma0_pair = Gamma0 + c2 * g2sq * (B2.conjugate() - B2)
-
-    shift = 1j * (basis.lambda_plus - params.omega21)
-    return RateSet(
-        R_plus_minus=R_pm, R_minus_plus=R_mp,
-        R_1_minus=R_1m, R_1_plus=R_1p,
-        Gamma0=Gamma0, Gamma_minus=Gamma_minus, Gamma_plus=Gamma_plus,
-        Gamma1=Gamma0 + 1j * basis.omega_R,
-        Gamma2=Gamma_plus - shift,
-        Gamma3=Gamma_minus - shift,
-        gamma0_pair=gamma0_pair,
-    )
-
-
 def coefficient_rows(params: ParameterColumns) -> tuple:
     """(set, failures): every coefficient block, one array row per parameter row.
 
@@ -200,13 +141,44 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
     """
     with np.errstate(all="ignore"):
         basis = _dress(params)
-        # delta_c - nu at the dressed emission lines nu of B1..B4
-        dc, dc21 = params.delta_c, params.delta_c + params.omega21
-        lines = (dc + basis.omega_R, dc - basis.omega_R,
-                 dc21 - basis.lambda_minus, dc21 - basis.lambda_plus)
-        resp = cavity_response(params, basis, lines)
-        coeffs = CoefficientSet(basis, resp, interference_terms(params, basis, resp),
-                                rate_set(params, basis, resp, lines))
+        c2, s2 = basis.c ** 2, basis.s ** 2
+        kappa, dc = params.kappa, params.delta_c
+        dc21 = dc + params.omega21
+        # the cavity spectrum f = kappa / (kappa + i(delta_c - nu)) at the
+        # dressed emission lines nu of B0..B4, one row each
+        f = kappa / (kappa + 1j * np.stack([
+            dc, dc + basis.omega_R, dc - basis.omega_R,
+            dc21 - basis.lambda_minus, dc21 - basis.lambda_plus]))
+        # each decay channel at each line: free-space rate plus Purcell rate
+        D11 = params.gamma1 + params.g1 ** 2 / kappa * f
+        D22 = params.gamma2 + params.g2 ** 2 / kappa * f
+        D12 = effective_gamma12(params) + params.g1 * params.g2 / kappa * f
+
+        probe_line = s2 * D11[3].conj() + c2 * D11[4].conj()
+        Gamma0 = 4.0 * c2 * s2 * D22[0].real + s2 * s2 * D22[1] + c2 * c2 * D22[2]
+        Gamma_minus = probe_line + s2 * (c2 * D22[0] + s2 * D22[1])
+        Gamma_plus = probe_line + c2 * (c2 * D22[2] + s2 * D22[0])
+        shift = 1j * (basis.lambda_plus - params.omega21)
+        coeffs = CoefficientSet(
+            basis,
+            CavityResponse._make(np.stack([c2, s2, c2, s2, c2]) * f),
+            InterferenceTerms(
+                x1=c2 * D12[0] - s2 * D12[3].conj(),
+                x2=c2 * D12[0] + s2 * D12[1],
+                x3=c2 * D12[0].conj() + 2.0 * c2 * D12[4] + s2 * D12[3],
+                x4=s2 * D12[3] + c2 * D12[4]),
+            RateSet(
+                R_plus_minus=2.0 * c2 * c2 * D22[2].real,
+                R_minus_plus=2.0 * s2 * s2 * D22[1].real,
+                R_1_minus=2.0 * c2 * D11[4].real,
+                R_1_plus=2.0 * s2 * D11[3].real,
+                Gamma0=Gamma0, Gamma_minus=Gamma_minus, Gamma_plus=Gamma_plus,
+                Gamma1=Gamma0 + 1j * basis.omega_R,
+                Gamma2=Gamma_plus - shift,
+                Gamma3=Gamma_minus - shift,
+                # rho_{-+}: line 2 sits on the |+> (right) side, so it enters
+                # conjugated
+                gamma0_pair=Gamma0 + c2 * c2 * (D22[2].conj() - D22[2])))
     values = [v for block in coeffs for v in block]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
     failures = {     # Omega_R = 0 leaves nan in c and s

@@ -267,12 +267,14 @@ def find_features(result: SweepResult,
         left, mid, right = re3[:-2], re3[1:-1], re3[2:]
         k = np.flatnonzero((mid > left) & (mid > right) | (mid < left) & (mid < right))
         left, mid, right = left[k], mid[k], right[k]
-        denom = left - 2.0 * mid + right
+        # denom is exactly symmetric in (left, right), shift and the half span
+        # exactly antisymmetric: a reversed axis finds the same bits
+        denom = (left + right) - 2.0 * mid
         shift = np.where(denom == 0.0, 0.0, 0.5 * (left - right) / denom)
         # clamped as max(-0.5, min(0.5, shift)) would, which maps nan to 0.5
         shift = np.where(shift < 0.5, shift, 0.5)
         shift = np.where(shift > -0.5, shift, -0.5)
-        extrema = zip((xs[k + 1] + shift * (xs[k + 2] - xs[k + 1])).tolist(),
+        extrema = zip((xs[k + 1] + shift * (0.5 * (xs[k + 2] - xs[k]))).tolist(),
                       (mid - 0.25 * (left - right) * shift).tolist())
     clean_re3 = np.abs(re3[~np.isnan(re3)])
     peak = clean_re3.max().item() if len(clean_re3) else math.nan

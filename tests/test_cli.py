@@ -194,11 +194,11 @@ _POINT = {"omega": 200.122, "re_chi1": 0.040131838969248254,
           "im_chi1": 0.16573298818737808, "re_chi3": 0.7785852239600919,
           "im_chi3": 3.803137991258217}
 _B0 = [0.10000000000000003, -0.20000000000000007]
-_B1 = [0.013513513513513518, -0.08108108108108111]
-_IM_X = -0.2108108108108109
+_B1 = [0.013513513513513516, -0.0810810810810811]
+_IM_X = -0.21081081081081088
 _GAMMA0 = [0.7277027027027031, 0.13378378378378386]
-_GAMMA_MINUS = [0.3060810810810811, -0.24594594594594613]
-_GAMMA_PLUS = [0.40337837837837853, 0.0702702702702703]
+_GAMMA_MINUS = [0.30608108108108123, -0.2459459459459461]
+_GAMMA_PLUS = [0.40337837837837853, 0.07027027027027029]
 _COEFFICIENTS = {
     "gamma12": 0.0,
     "basis": {"c": 0.7071067811865476, "s": 0.7071067811865476,
@@ -211,7 +211,7 @@ _COEFFICIENTS = {
                      "x3": [0.23513513513513523, _IM_X],
                      "x4": [0.08513513513513515, _IM_X]},
     "rates": {"R_plus_minus": 0.27500000000000013,
-              "R_minus_plus": 0.08040540540540546,
+              "R_minus_plus": 0.08040540540540544,
               "R_1_minus": 0.15000000000000005,
               "R_1_plus": 0.10675675675675679,
               "Gamma0": _GAMMA0, "Gamma_minus": _GAMMA_MINUS,

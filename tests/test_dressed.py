@@ -166,7 +166,7 @@ class TestInterference:
         c, s = cs.basis.c, cs.basis.s
         assert x.x1 == pytest.approx((c * c - s * s) * g12, abs=1e-6)
         assert x.x2 == pytest.approx(g12, abs=1e-6)
-        assert x.x3 == pytest.approx((2 * c * s + 1) * g12, abs=1e-6)
+        assert x.x3 == pytest.approx((1 + 2 * c * c) * g12, abs=1e-6)
         assert x.x4 == pytest.approx(g12, abs=1e-6)
 
     def test_sideband_point_value(self, sideband_params):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from vkerr import (DegenerateDressing, SingularKernel, SingularSteadyState,
                    SweepResult, SweepRow, Susceptibility, axis_grid, chi,
                    coefficient_set, find_features, sweep, write_csv, write_json)
+from vkerr.cli import PRESETS
 from vkerr.susceptibility import result_metadata
 
 from test_dressed import quiet_params
@@ -186,6 +187,18 @@ class TestSweep:
         assert [r.error is None for r in result.rows] == [True, False, True]
         assert result.rows[1].error.startswith("OverflowError: ")
 
+    def test_huge_kappa_is_the_cavity_free_limit(self):
+        # the cavity filters stay finite however broad the cavity: every
+        # kappa row solves, and equals the 1e100 row, where g^2/kappa is
+        # already below the last bit of the free-space rates
+        params = quiet_params(**PRESETS["fig2c"]["params"])
+        result = sweep(params, [1e100, 1e160, 1e200, 1e300], "kappa",
+                       omega=200.25)
+        assert result.n_failed == 0
+        for name in ("re_chi1", "im_chi1", "re_chi3", "im_chi3"):
+            column = result.column(name)
+            assert column == pytest.approx(np.full(4, column[0]), rel=1e-12)
+
     def test_non_finite_solution_is_a_typed_row_error(self):
         # decay rates of 1e-300 leave every kernel regular but overflow the
         # solution at omega = 200: a typed error, never a nan in the output
@@ -333,10 +346,12 @@ class TestFindFeatures:
         assert find_features(quiet).transparency_points == (5.0,)
         assert find_features(loud).transparency_points == ()
 
-    def test_axis_direction_does_not_change_features(self, sideband_params):
-        # the fig3b window swept upward and downward finds the same features
-        grid = axis_grid(199.0, 201.5, 0.005)
-        up, down = (find_features(sweep(sideband_params, values))
+    @pytest.mark.parametrize("preset", ["fig3b", "fig2a", "fig5"])
+    def test_axis_direction_does_not_change_features(self, preset):
+        # the preset's window swept upward and downward finds the same features
+        params = quiet_params(**PRESETS[preset]["params"])
+        grid = axis_grid(*PRESETS[preset]["grid"])
+        up, down = (find_features(sweep(params, values))
                     for values in (grid, grid[::-1]))
         assert sorted(down.im_chi3_zeros) == pytest.approx(
             sorted(up.im_chi3_zeros), rel=1e-12)
