@@ -17,7 +17,8 @@ are independent unknowns: hermiticity of the solution is a check.
 
 A0 never couples (mm, 11, m1, 1m), (1p, mp) and (p1, pm), so each kernel
 is one 4x4 block, solved by LAPACK, and two 2x2 pairs, solved in closed
-form; A+ and A- are applied over the 24 entries reduced_operators writes.
+form.  The sources of an order are one stacked product per row,
+[A+ | A-] times z_{m-1}^{n-1} and z_{m-1}^{n+1} stacked.
 
 Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 'm1' = rho_{-1}, '1m' = rho_{1-}, '1p' = rho_{1+}, 'p1' = rho_{+1},
@@ -145,20 +146,6 @@ _SPLIT[_BLOCK, _BLOCK] = True
 _SPLIT[4:, 4:] = np.tile(np.eye(2, dtype=bool), (2, 2))
 if (_WRITTEN[0, :, :TRACE] & ~_SPLIT).any():
     raise ImportError("A0 couples the blocks that the harmonic solve splits")
-# the pair entries [[a, q], [r, d]] of A0, as flat indices into one row of
-# the operator stack: shape (4, 2), one column per pair
-_PAIR = np.ravel_multi_index((0, [[4, 5], [4, 5], [6, 7], [6, 7]],
-                              [[4, 5], [6, 7], [4, 5], [6, 7]]), _WRITTEN.shape)
-# the nonzeros of [A+ | A-] by output row: flat indices into one row of the
-# operator stack, their sources in concat(lower, above), and the start of
-# each output row's terms
-_ROW, _SIGN, _COL = np.nonzero(_WRITTEN[1:].transpose(1, 0, 2))
-_COUPLING = np.ravel_multi_index((_SIGN + 1, _ROW, _COL), _WRITTEN.shape)
-_SOURCE = _SIGN * (TRACE + 1) + _COL
-_SEGMENTS = np.searchsorted(_ROW, np.arange(_DIM))
-if not _WRITTEN[1:].any(axis=(0, 2)).all():
-    # np.add.reduceat gives the next term, not 0, for an empty segment
-    raise ImportError("a reduced equation has no probe coupling")
 
 
 class HarmonicTable:
@@ -173,8 +160,8 @@ class HarmonicTable:
     one stacked 4x4 solve of (mm, 11, m1, 1m) (a kernel that every row
     shares is factored once, with the rows as right-hand-side columns) and
     the pairs (1p, mp) and (p1, pm) by Cramer's rule.  The sources
-    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are summed over the 24 entries that
-    reduced_operators writes into A+ and A-.  Only those entries, the blocks
+    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are one stacked matrix product per
+    row, [A+ | A-] times the two orders stacked.  Only [A+ | A-], the blocks
     of A0 and c0 are kept from the operators.  A row whose kernel is
     singular, or whose solution is not finite, records its error and the
     other rows are unaffected: every row is bitwise independent of the batch
@@ -186,14 +173,15 @@ class HarmonicTable:
         ops = reduced_operators(coeffs)
         if self.delta_p.ndim != 1 or len(ops) not in (1, len(self.delta_p)):
             raise ValueError("need one coefficient row, or one per delta_p")
-        flat = ops.reshape(len(ops), -1)
         # the parts of the kernel -A0 and of the sources that no order changes
         self._block = -ops[:, 0, _BLOCK, _BLOCK]
-        self._pair = np.moveaxis(-flat[:, _PAIR], 1, 0)   # a, q, r, d: (rows, 2)
-        _, q, r, _ = self._pair
+        # the pairs [[a, q], [r, d]] from (1p, p1, mp, pm): (rows, 2) each
+        pairs, first, second = -ops[:, 0, 4:TRACE, 4:TRACE], [0, 1], [2, 3]
+        self._pair = _, q, r, _ = tuple(pairs[:, i, j] for i in (first, second)
+                                        for j in (first, second))
         self._qr, self._q2, self._r2 = q * r, _abs2(q), _abs2(r)
         self._c0 = ops[:, 0, :, TRACE].copy()
-        self._coupling = flat[:, _COUPLING]
+        self._coupling = np.concatenate((ops[:, 1], ops[:, 2]), axis=2)  # [A+|A-]
         self._orders: dict = {}
         self._kernels: dict = {}
         # every order outside the reachable cone, shared and read-only
@@ -259,10 +247,10 @@ class HarmonicTable:
         else:
             (lower, lower_failed), (above, above_failed) = (
                 self.solve(m - 1, n - 1), self.solve(m - 1, n + 1))
-            # A+ lower + A- above over the written entries, summed per row: a
-            # BLAS matrix product would change a row's last bits with the batch
-            terms = self._coupling * np.concatenate((lower, above), axis=1)[:, _SOURCE]
-            rhs = np.add.reduceat(terms, _SEGMENTS, axis=1)
+            # A+ lower + A- above: one stacked product per row, so a row's
+            # bits do not depend on the batch it sits in
+            rhs = (self._coupling
+                   @ np.concatenate((lower, above), axis=1)[..., None])[..., 0]
             failures = {**above_failed, **lower_failed}
         block, a, d, det, singular = self._kernel(n)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)

@@ -191,10 +191,9 @@ class ParameterColumns(namedtuple("ParameterColumns", SystemParams._fields,
         return errors
 
 
-# A sweep holds ~2.7 kB per row on the omega axis and ~4.9 kB on a
-# parameter axis: 200001-row `vkerr sweep` runs peaked at 0.56 GB and
-# 0.97 GB against 0.14 GB and 0.22 GB at 40001 rows.  Longer grids are
-# refused, which keeps a sweep near 1 GB.
+# Sweeps solve in batches, so the writers set the memory: 200000-row
+# `vkerr sweep` runs peaked at 144 MB (omega axis, CSV) and 329 MB (g1,
+# JSON), which build their whole output text.  Longer grids are refused.
 _MAX_GRID_POINTS = 200_000
 
 

@@ -71,6 +71,11 @@ def chi(params: SystemParams, omega: float,
     return Susceptibility(*chis[:, 0].tolist())
 
 
+# Rows per HarmonicTable.  One batch's temporaries peak at 2.3 MB on the
+# omega axis and 7.4 MB on a parameter axis, whatever the sweep's length.
+_BATCH = 1024
+
+
 def _rows(params: SystemParams, omegas, axis_name: str | None = None,
           values=(), coeffs: CoefficientSet | None = None) -> tuple:
     """(chis, errors): chi at every omega, and the error of each failed row.
@@ -80,34 +85,39 @@ def _rows(params: SystemParams, omegas, axis_name: str | None = None,
     parameters, omega, coefficients, then the solve.  Without ``axis_name``
     every omega shares ``params``; with it, row i sets that field to
     ``values[i]``.  ``coeffs`` defaults to the coefficients of those rows.
-    Failed rows stay in the batch, which fails a row with non-finite inputs
-    on its own and leaves the other rows untouched.
+    The rows are solved _BATCH at a time.  Failed rows stay in their batch,
+    which fails a row with non-finite inputs on its own and leaves the other
+    rows untouched.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if axis_name is None and coeffs is not None:
-        columns, errors = params, []    # only omega21 and delta are read
-    else:
-        columns = ParameterColumns.along(params, axis_name, values)
-        # params itself is valid, so only an axis value can break a rule
-        errors = [columns.errors() if axis_name else {}]
-    errors.append({int(i): ValueError("omega must be finite")
-                   for i in np.flatnonzero(~np.isfinite(omegas))})
-    # allocated before the solve's temporaries rather than on the heap above
-    # them, so that freeing them can return their memory to the system
-    chis = np.empty((4, len(omegas)))
-    with np.errstate(all="ignore"):     # failed rows carry nan and inf
-        if coeffs is None:
-            coeffs, failures = coefficient_rows(columns)
-            errors.append(failures)
-        table = HarmonicTable(coeffs, probe_detuning_to_delta_p(omegas, columns))
-        s, c = np.atleast_1d(coeffs.basis.s, coeffs.basis.c)
-        # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
-        for k, rows in ((1, chis[:2]), (3, chis[2:])):
-            z, solve_failures = table.solve(k, -1)   # order 3 inherits order 1's
-            rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
-            for part, out in zip((np.real, np.imag), rows):
-                np.negative(s * part(rho_1p) - c * part(rho_1m), out=out)
-    errors.append(solve_failures)
+    chis, errors = np.empty((4, len(omegas))), []
+    for start in range(0, len(omegas), _BATCH):
+        batch = slice(start, start + _BATCH)
+        if axis_name is None and coeffs is not None:
+            columns, found = params, []     # only omega21 and delta are read
+        else:
+            columns = ParameterColumns.along(params, axis_name, values[batch])
+            # params itself is valid, so only an axis value can break a rule
+            found = [columns.errors() if axis_name else {}]
+        found.append({int(i): ValueError("omega must be finite")
+                      for i in np.flatnonzero(~np.isfinite(omegas[batch]))})
+        batch_coeffs = coeffs
+        with np.errstate(all="ignore"):     # failed rows carry nan and inf
+            if coeffs is None:
+                batch_coeffs, failures = coefficient_rows(columns)
+                found.append(failures)
+            table = HarmonicTable(batch_coeffs, probe_detuning_to_delta_p(
+                omegas[batch], columns))
+            s, c = np.atleast_1d(batch_coeffs.basis.s, batch_coeffs.basis.c)
+            # chi^(k) = -(s (rho_{1+})_k^{-1} - c (rho_{1-})_k^{-1}), part by part
+            for k, rows in ((1, chis[:2, batch]), (3, chis[2:, batch])):
+                z, failures = table.solve(k, -1)    # order 3 inherits order 1's
+                rho_1p, rho_1m = z[:, STATE.index("1p")], z[:, STATE.index("1m")]
+                for part, out in zip((np.real, np.imag), rows):
+                    np.negative(s * part(rho_1p) - c * part(rho_1m), out=out)
+        del table       # released before the next batch builds its own
+        found.append(failures)
+        errors += [{start + row: exc for row, exc in f.items()} for f in found]
     first = {row: exc for found in reversed(errors) for row, exc in found.items()}
     if first:
         chis[:, list(first)] = np.nan

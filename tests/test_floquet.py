@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from vkerr import (CoefficientSet, SingularKernel, SingularSteadyState, chi,
-                   coefficient_set, effective_gamma12,
-                   zeroth_order_steady_state)
+                   coefficient_set, zeroth_order_steady_state)
 from vkerr.dressed import coefficient_rows
 from vkerr.floquet import (_REL_TOL, _WRITTEN, STATE, TRACE, HarmonicTable,
                            reduced_operators)
 from vkerr.params import ParameterColumns
 
+from redfield import redfield_operator, rotations
 from test_dressed import columns_of, quiet_params, random_params
 
 # published steady-state reference for the sideband operating point
@@ -269,44 +269,18 @@ class TestBatchedSolve:
             assert np.abs(ours - ref).max() <= 1e-12 * scale
 
 
-# The exact free-space master equation (g1 = g2 = 0) of the driven V atom,
-# written on 3x3 matrices in full_model's conventions: rho' = K rho + rho K+
-# + sum 2 rate L1 rho L2+ with K = -i H - sum rate L2+ L1, the drive-frame H
-# and the jumps gamma1, gamma2 and gamma12 (both orders).  It shares nothing
-# with dressed or floquet but the dressed kets.
-def _free_space_operator(params, basis):
-    """[A0|c0] of the exact free-space generator in the dressed basis."""
-    def op(i, j):
-        m = np.zeros((3, 3))
-        m[i, j] = 1.0
-        return m
-
-    g12 = effective_gamma12(params)
-    H = (params.delta * op(2, 2) - (params.omega21 - params.delta) * op(1, 1)
-         + params.omega_L_rabi * (op(0, 2) + op(2, 0)))
-    jumps = [(params.gamma1, op(0, 1), op(0, 1)),
-             (params.gamma2, op(0, 2), op(0, 2)),
-             (g12, op(0, 1), op(0, 2)), (g12, op(0, 2), op(0, 1))]
-    K = -1j * H - sum(rate * L2.T @ L1 for rate, L1, L2 in jumps)
-    # columns |->, |1>, |+> in the bare basis |0>, |1>, |2>
-    c, s = basis.c, basis.s
-    U = np.array([[-c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    index = {"m": 0, "1": 1, "p": 2}
-
-    def rate_of_change(a, b):
-        rho = U @ op(index[a], index[b]) @ U.T
-        d = K @ rho + rho @ K.conj().T + sum(2.0 * rate * L1 @ rho @ L2.T
-                                             for rate, L1, L2 in jumps)
-        return U.T @ d @ U
-
-    # column TRACE first holds the rho_{++} column; rho_{++} = trace - mm - 11
-    # then makes it the constant and moves it onto mm and 11
-    out = np.zeros((len(STATE), TRACE + 1), dtype=complex)
-    for col, (a, b) in enumerate(STATE + ("pp",)):
-        d = rate_of_change(a, b)
-        out[:, col] = [d[index[e[0]], index[e[1]]] for e in STATE]
-    out[:, :2] -= out[:, TRACE:]
-    return out
+def assert_written_entries_match(params):
+    """Every entry reduced_operators writes into [A0|c0] against the Redfield
+    generator, within 1e-12 of max |A0|; the entries it leaves at zero are
+    the non-secular ones and are not compared."""
+    coeffs = coefficient_set(params)
+    ours = reduced_operators(coeffs)[0, 0]
+    exact = redfield_operator(params, coeffs.basis)
+    scale = np.abs(ours[:, :TRACE]).max()
+    diff = np.where(_WRITTEN[0], np.abs(ours - exact), 0.0)
+    bad = [(STATE[i], (STATE + ("trace",))[j], ours[i, j], exact[i, j])
+           for i, j in zip(*np.nonzero(diff > 1e-12 * scale))]
+    assert not bad, params
 
 
 class TestFreeSpaceEntries:
@@ -315,20 +289,45 @@ class TestFreeSpaceEntries:
         (60.0, {"gamma12_override": -0.12}), (0.0, {"theta": 0.7})],
         ids=["delta25-theta", "delta-40-theta", "delta60-override", "delta0-theta"])
     def test_written_entries_equal_the_master_equation(self, delta, convention):
-        # every entry reduced_operators writes into [A0|c0] at g1 = g2 = 0,
-        # against the exact free-space generator; the entries it leaves at
-        # zero are the non-secular ones and are not compared
+        # at g1 = g2 = 0 the Redfield generator is the exact free-space one
         params = quiet_params(gamma1=0.1, gamma2=0.3, g1=0.0, g2=0.0,
                               kappa=150.0, omega21=170.0, omega_L_rabi=90.0,
                               delta=delta, delta_c=120.0, **convention)
-        coeffs = coefficient_set(params)
-        ours = reduced_operators(coeffs)[0, 0]
-        exact = _free_space_operator(params, coeffs.basis)
-        scale = np.abs(ours[:, :TRACE]).max()
-        diff = np.where(_WRITTEN[0], np.abs(ours - exact), 0.0)
-        bad = [(STATE[i], (STATE + ("trace",))[j], ours[i, j], exact[i, j])
-               for i, j in zip(*np.nonzero(diff > 1e-12 * scale))]
-        assert not bad
+        assert_written_entries_match(params)
+
+
+class TestRedfieldEntries:
+    def test_named_points(self, sideband_params, gentle_params):
+        detuned = quiet_params(gamma1=0.1, gamma2=0.3, g1=5.0, g2=15.0,
+                               kappa=150.0, omega21=170.0, omega_L_rabi=90.0,
+                               delta=25.0, delta_c=120.0, theta=0.7)
+        for params in (sideband_params, gentle_params, detuned):
+            assert_written_entries_match(params)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            assert_written_entries_match(random_params(rng))
+
+    def test_dropped_entries_are_non_secular(self):
+        # at delta = 0 and omega21 = Omega_L the bare rotations of the
+        # elements are 0 and +-Omega_R: every entry reduced_operators writes
+        # couples equal rotations, and every Redfield entry it drops couples
+        # rotations at least Omega_R apart
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            params = random_params(rng)
+            params = params.replace(delta=0.0, omega21=params.omega_L_rabi)
+            coeffs = coefficient_set(params)
+            exact = redfield_operator(params, coeffs.basis)
+            scale = np.abs(reduced_operators(coeffs)[0, 0, :, :TRACE]).max()
+            rotation = rotations(coeffs.basis)
+            gap = np.abs(rotation[:TRACE, None] - rotation[None, :])
+            omega_R = coeffs.basis.omega_R
+            assert (gap[_WRITTEN[0]] <= 1e-12 * omega_R).all(), params
+            dropped = ~_WRITTEN[0] & (np.abs(exact) > 1e-12 * scale)
+            assert dropped.any()
+            assert (gap[dropped] >= (1.0 - 1e-12) * omega_R).all(), params
 
 
 class TestIndependentConjugateRoutes:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,79 @@ class TestSweep:
             a, b = chi(detuned, w), chi(free, w)
             assert abs(a.chi1 - b.chi1) < 1e-6
             assert abs(a.chi3 - b.chi3) < 1e-6
+
+    @staticmethod
+    def assert_rows_equal_chi(result, rows, params_of, omega_of):
+        # each row equals chi at its parameters and omega bitwise, or
+        # carries the error that chi raises there
+        for i in rows:
+            try:
+                point = chi(params_of(i), omega_of(i))
+            except ValueError as exc:
+                assert result.errors[i] == f"{type(exc).__name__}: {exc}", i
+                assert np.isnan(result.re_chi1[i])
+                continue
+            assert i not in result.errors, i
+            assert (result.re_chi1[i], result.im_chi1[i], result.re_chi3[i],
+                    result.im_chi3[i]) == tuple(point), i
+
+    def test_parameter_sweep_batch_boundary(self, sideband_params):
+        # rows 1023 and 1024 straddle the first batch boundary and fail for
+        # different reasons; the last batch holds two rows
+        values = np.linspace(1.0, 9.0, 2050)
+        values[1023], values[1024] = -1.0, math.nan
+        result = sweep(sideband_params, values, "g1", omega=200.25)
+        assert sorted(result.errors) == [1023, 1024]
+        assert result.errors[1023].endswith("must be non-negative")
+        assert result.errors[1024] == "ValueError: g1 must be finite"
+        self.assert_rows_equal_chi(
+            result, [0, 1022, 1023, 1024, 1025, 2047, 2048, 2049],
+            lambda i: sideband_params._replace(g1=values[i]),
+            lambda i: 200.25)
+
+    def test_omega_sweep_batch_boundary(self, sideband_params):
+        # the last row of 1025 is a batch of its own
+        grid = np.linspace(199.0, 201.0, 1025)
+        grid[1023], grid[1024] = math.nan, math.inf
+        result = sweep(sideband_params, grid)
+        assert sorted(result.errors) == [1023, 1024]
+        grid[1024] = 201.0
+        result = sweep(sideband_params, grid)
+        assert sorted(result.errors) == [1023]
+        self.assert_rows_equal_chi(result, [0, 1022, 1023, 1024],
+                                   lambda i: sideband_params,
+                                   lambda i: grid[i])
+
+    @pytest.mark.parametrize("axis_name, values", [
+        ("omega", np.linspace(190.0, 210.0, 10001)),
+        ("kappa", np.linspace(60.0, 400.0, 10001))])
+    def test_sweep_memory_bounded_by_the_batch(self, sideband_params,
+                                               axis_name, values):
+        # ~40 B per row are kept; the solve's temporaries are one batch's
+        omega = None if axis_name == "omega" else 200.25
+        tracemalloc.start()
+        try:
+            result = sweep(sideband_params, values, axis_name, omega=omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_failed == 0
+        assert peak < 15e6
+
+    @pytest.mark.parametrize("axis_name, omega", [("omega", None),
+                                                  ("g1", 200.25)])
+    def test_empty_sweep(self, tmp_path, sideband_params, axis_name, omega):
+        result = sweep(sideband_params, [], axis_name, omega=omega)
+        assert len(result) == 0 and result.n_failed == 0
+        assert all(len(result.column(name)) == 0 for name in
+                   ("axis", "re_chi1", "im_chi1", "re_chi3", "im_chi3"))
+        out = io.StringIO()
+        write_csv(result, out)
+        assert out.getvalue() == ("axis,re_chi1,im_chi1,re_chi3,im_chi3,"
+                                  "ratio_31,ratio_33\r\n")
+        write_json(result, tmp_path / "empty.json")
+        payload = json.loads((tmp_path / "empty.json").read_text())
+        assert payload["rows"] == [] and payload["metadata"]["n_rows"] == 0
 
 
 def ratio(num, den):
