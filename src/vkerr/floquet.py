@@ -157,15 +157,14 @@ class HarmonicTable:
     own.  A scalar ``delta_p`` makes a one-row table.
 
     Each order is solved on the block structure of the kernel i n d - A0:
-    one stacked 4x4 solve of (mm, 11, m1, 1m) (a kernel that every row
-    shares is factored once, with the rows as right-hand-side columns) and
-    the pairs (1p, mp) and (p1, pm) by Cramer's rule.  The sources
-    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are one stacked matrix product per
-    row, [A+ | A-] times the two orders stacked.  Only [A+ | A-], the blocks
-    of A0 and c0 are kept from the operators.  A row whose kernel is
-    singular, or whose solution is not finite, records its error and the
-    other rows are unaffected: every row is bitwise independent of the batch
-    it sits in.
+    one 4x4 LAPACK solve per row for (mm, 11, m1, 1m), where a kernel that
+    every row shares is broadcast, and the pairs (1p, mp) and (p1, pm) by
+    Cramer's rule.  The sources A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are
+    one stacked matrix product per row, [A+ | A-] times the two orders
+    stacked.  Only [A+ | A-], the blocks of A0 and c0 are kept from the
+    operators.  A row whose kernel is singular, or whose solution is not
+    finite, records its error and the other rows are unaffected: every row
+    is bitwise independent of the batch it sits in.
     """
 
     def __init__(self, coeffs: CoefficientSet, delta_p):
@@ -211,7 +210,8 @@ class HarmonicTable:
 
         ``block`` is the 4x4 block, ``a`` and ``d`` the diagonals of the two
         pairs and ``det`` their determinants, each with one row per table
-        row, or one shared row at n = 0 of shared coefficients.
+        row, or one row that the solve broadcasts (n = 0 of shared
+        coefficients).
         ``singular`` flags the rows whose |det| is below _REL_TOL times the
         product of the row norms: by Hadamard's bound a scale-free test,
         true on non-finite rows too.  Every row of the kernel lies in one
@@ -254,13 +254,8 @@ class HarmonicTable:
             failures = {**above_failed, **lower_failed}
         block, a, d, det, singular = self._kernel(n)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)
-        if len(block) == 1:
-            # one kernel for every row (n = 0 of shared coefficients): one
-            # factorization with the rows as right-hand-side columns; each
-            # column comes out in the bits of a one-row solve
-            z[:, _BLOCK] = np.linalg.solve(block[0], rhs[:, _BLOCK].T).T
-        else:
-            z[:, _BLOCK] = np.linalg.solve(block, rhs[:, _BLOCK, None])[..., 0]
+        # one LAPACK solve per row, a shared kernel broadcast over the rows
+        z[:, _BLOCK] = np.linalg.solve(block, rhs[:, _BLOCK, None])[..., 0]
         # both pairs at once by Cramer's rule
         _, q, r, _ = self._pair
         first, second = rhs[:, _FIRST], rhs[:, _SECOND]

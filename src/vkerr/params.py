@@ -166,16 +166,14 @@ class ParameterColumns(namedtuple("ParameterColumns", SystemParams._fields,
         gamma12_override, as ``SystemParams.replace`` does.
         """
         data = params._asdict()
+        if axis_name == "theta":
+            data["gamma12_override"] = None
+        rows = 1 if axis_name is None else len(values)
+        columns = {name: np.full(rows, value, dtype=float)
+                   for name, value in data.items() if value is not None}
         if axis_name is not None:
-            if axis_name == "theta":
-                data["gamma12_override"] = None
-            data[axis_name] = 0.0
-        names = [name for name in cls._fields if data[name] is not None]
-        table = np.empty((len(names), 1 if axis_name is None else len(values)))
-        table[:] = [[data[name]] for name in names]
-        if axis_name is not None:
-            table[names.index(axis_name)] = values
-        return cls(**dict(zip(names, table)))
+            columns[axis_name] = np.array(values, dtype=float)
+        return cls(**columns)
 
     def errors(self) -> dict:
         """{row: ValueError} for every row that SystemParams would reject.

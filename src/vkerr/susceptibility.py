@@ -62,10 +62,11 @@ def chi(params: SystemParams, omega: float,
         coeffs: CoefficientSet | None = None) -> Susceptibility:
     """Normalized chi1 and chi3 at one probe detuning omega = omega_p - omega_1.
 
-    The one-row case of ``sweep``; ``coeffs`` defaults to
-    ``coefficient_set(params)``.
+    The one-row case of an omega ``sweep``, which raises the error that
+    sweep records; ``coeffs`` defaults to ``coefficient_set(params)``.
     """
-    chis, errors = _rows(params, [omega], coeffs=coeffs)
+    chis, errors = _rows(params, [omega], coeffs=coefficient_set(params)
+                         if coeffs is None else coeffs)
     if errors:
         raise errors[0]
     return Susceptibility(*chis[:, 0].tolist())
@@ -82,30 +83,25 @@ def _rows(params: SystemParams, omegas, axis_name: str | None = None,
 
     ``chis`` has shape (4, rows): Re chi1, Im chi1, Re chi3 and Im chi3,
     nan on a failed row.  ``errors`` maps a failed row to its first error:
-    parameters, omega, coefficients, then the solve.  Without ``axis_name``
-    every omega shares ``params``; with it, row i sets that field to
-    ``values[i]``.  ``coeffs`` defaults to the coefficients of those rows.
-    The rows are solved _BATCH at a time.  Failed rows stay in their batch,
-    which fails a row with non-finite inputs on its own and leaves the other
-    rows untouched.
+    parameters, omega, coefficients, then the solve.  Either ``coeffs`` is
+    shared by every omega (a point or an omega sweep), or, without it, row i
+    sets field ``axis_name`` of ``params`` to ``values[i]``.  The rows are
+    solved _BATCH at a time; a failed row fails on its own in its batch.
     """
     omegas = np.asarray(omegas, dtype=float)
-    chis, errors = np.empty((4, len(omegas))), []
+    chis, errors = np.empty((4, len(omegas))), {}
     for start in range(0, len(omegas), _BATCH):
         batch = slice(start, start + _BATCH)
-        if axis_name is None and coeffs is not None:
-            columns, found = params, []     # only omega21 and delta are read
-        else:
+        stages = [{row: ValueError("omega must be finite") for row in
+                   np.flatnonzero(~np.isfinite(omegas[batch])).tolist()}]
+        if coeffs is None:
             columns = ParameterColumns.along(params, axis_name, values[batch])
+            batch_coeffs, failures = coefficient_rows(columns)
             # params itself is valid, so only an axis value can break a rule
-            found = [columns.errors() if axis_name else {}]
-        found.append({int(i): ValueError("omega must be finite")
-                      for i in np.flatnonzero(~np.isfinite(omegas[batch]))})
-        batch_coeffs = coeffs
+            stages = [columns.errors(), *stages, failures]
+        else:
+            columns, batch_coeffs = params, coeffs  # only omega21 and delta are read
         with np.errstate(all="ignore"):     # failed rows carry nan and inf
-            if coeffs is None:
-                batch_coeffs, failures = coefficient_rows(columns)
-                found.append(failures)
             table = HarmonicTable(batch_coeffs, probe_detuning_to_delta_p(
                 omegas[batch], columns))
             s, c = np.atleast_1d(batch_coeffs.basis.s, batch_coeffs.basis.c)
@@ -116,12 +112,11 @@ def _rows(params: SystemParams, omegas, axis_name: str | None = None,
                 for part, out in zip((np.real, np.imag), rows):
                     np.negative(s * part(rho_1p) - c * part(rho_1m), out=out)
         del table       # released before the next batch builds its own
-        found.append(failures)
-        errors += [{start + row: exc for row, exc in f.items()} for f in found]
-    first = {row: exc for found in reversed(errors) for row, exc in found.items()}
-    if first:
-        chis[:, list(first)] = np.nan
-    return chis, first
+        for found in (*stages, failures):   # each row keeps its first error
+            for row, exc in found.items():
+                errors.setdefault(start + row, exc)
+    chis[:, list(errors)] = np.nan
+    return chis, errors
 
 
 class SweepRow(NamedTuple):
@@ -194,11 +189,11 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
 
     ``values`` is any iterable of axis values, e.g. an ``axis_grid``.  For a
     parameter axis the probe detuning ``omega`` must be given and is held
-    fixed; an omega sweep reads omega off its axis and takes none.  All rows
-    are solved as one batch, straight into the columns of the SweepResult;
+    fixed; an omega sweep reads omega off its axis and takes none.  The rows
+    are solved 1024 at a time, straight into the columns of the SweepResult;
     each row's result equals ``chi`` at that row's parameters and probe
     detuning.  A parameter axis is validated and turned into coefficients as
-    ParameterColumns, for all rows at once; a row that breaks a SystemParams
+    ParameterColumns, a batch at a time; a row that breaks a SystemParams
     rule records the error constructing its SystemParams would raise.
     """
     if axis_name not in SWEEPABLE:
@@ -385,8 +380,11 @@ def write_json(result: SweepResult, path, extra_metadata: dict | None = None) ->
     finite = np.isfinite(table).all(axis=1)
     values = tuple(table[finite].ravel().tolist())
     rows = ((_JSON_ROW + "\0") * int(finite.sum()) % values).split("\0")[:-1]
-    for row in np.flatnonzero(~finite).tolist():    # ascending: each lands on its row
-        rows.insert(row, _json_row_by_field(result, row, table[row].tolist()))
+    if not finite.all():    # one pass: the next templated row, or by field
+        templated = iter(rows)
+        rows = [next(templated) if ok else
+                _json_row_by_field(result, row, table[row].tolist())
+                for row, ok in enumerate(finite.tolist())]
     meta = json.dumps(result_metadata(result, extra_metadata), indent=2)
     body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     with open(path, "w") as f:

@@ -40,6 +40,16 @@ class TestPresets:
         assert PRESETS["fig4b"]["omega"] == 200.122
         assert PRESETS["fig5"]["params"]["kappa"] == 200.0
 
+    def test_figure_preset_default_grid(self, tmp_path, capsys):
+        # without --start/--stop/--step a preset sweeps its own grid
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["figure-preset", "fig4b", "--out", str(a)]) == 0
+        assert capsys.readouterr().err == f"fig4b: 201 rows (0 failed) -> {a}\n"
+        grid = [str(v) for v in PRESETS["fig4b"]["grid"]]
+        assert main(["figure-preset", "fig4b", "--out", str(b), "--start",
+                     grid[0], "--stop", grid[1], "--step", grid[2]]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_figure_preset_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "fig2c.csv"
         rc = main(["figure-preset", "fig2c", "--out", str(out),
@@ -58,6 +68,16 @@ class TestModes:
         assert payload["omega"] == 200.122
         assert payload["metadata"]["params"]["g2"] == 15.0
         assert "re_chi3" in payload
+
+    def test_point_out_writes_what_it_prints(self, config_file, tmp_path,
+                                             capsys):
+        argv = ["point", "--config", config_file, "--omega", "200.122"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "point.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
 
     def test_sweep_csv_stdout(self, config_file, capsys):
         rc = main(["sweep", "--config", config_file, "--axis", "omega",
@@ -326,7 +346,11 @@ class TestErrors:
           "--step", "0.5"], "grid must not be empty"),
         (["--start", "190", "--stop", "210", "--step", "1e-12"],
          "grid of 20000000000001 points above the cap of 200000"),
-    ], ids=["overflowing-range", "empty-g1-grid", "tiny-step"])
+        (["--start", "190", "--stop", "210", "--step", "0"],
+         "step must be positive"),
+        (["--start", "190", "--step", "0.1"], "need --start and --stop"),
+    ], ids=["overflowing-range", "empty-g1-grid", "tiny-step", "zero-step",
+            "no-stop"])
     def test_bad_grid_is_a_value_error(self, config_file, capsys, argv,
                                        message):
         # finite ends whose difference overflows, or a step so small that
@@ -414,6 +438,8 @@ def test_exported_names_resolve():
         assert not missing, (module.__name__, missing)
     assert set(_BENCHMARK_NAMES) <= set(vkerr.__all__)
     assert sorted(vkerr.__all__) == _EXPORTS
+    # dir lists the names that __getattr__ serves from vkerr.oracle
+    assert set(vkerr._ORACLE_NAMES) <= set(dir(vkerr))
     # the package exports exactly its modules' public names, each once
     assert oracle.__all__ is vkerr._ORACLE_NAMES
     union = ["__version__", *(name for module in modules for name in module.__all__)]

@@ -244,6 +244,13 @@ class TestBatchedSolve:
         with pytest.raises(SingularKernel):
             element_rows(HarmonicTable(undamped, resonant), "1p", 1, -1)
 
+    def test_needs_one_coefficient_row_or_one_per_delta_p(self, sideband_params):
+        rows, _ = coefficient_rows(
+            ParameterColumns.along(sideband_params, "g1", [1.0, 2.0, 3.0]))
+        for delta_p in ([0.25, 0.3], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="one coefficient row, or one"):
+                HarmonicTable(rows, delta_p)
+
     def test_operators_match_reduced_rhs(self):
         # the operators against _reduced_rhs, the equations transcribed
         # independently above: both must give the same time derivative at

@@ -220,6 +220,12 @@ class TestConfig:
         assert p.g2 == 15.0 and p.delta_c == 200.0
         assert effective_gamma12(p) == 0.0
 
+    def test_array_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('[{"g1": 5}]')
+        with pytest.raises(ValueError, match="config must be a JSON object$"):
+            load_config(cfg)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"gamma_one": 0.1}')

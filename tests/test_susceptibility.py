@@ -61,6 +61,16 @@ class TestChi:
         with pytest.raises(ValueError):
             chi(sideband_params, math.nan)
 
+    def test_degenerate_dressing_raises_what_the_sweep_records(self):
+        # Omega_L = delta = 0 has no dressed basis: chi raises the error the
+        # one-row omega sweep raises, before it looks at omega
+        p = quiet_params(omega_L_rabi=0.0, delta=0.0)
+        with pytest.raises(DegenerateDressing) as point:
+            chi(p, math.nan)
+        with pytest.raises(DegenerateDressing) as swept:
+            sweep(p, [math.nan])
+        assert str(point.value) == str(swept.value)
+
     def test_golden_values(self, sideband_params):
         r = chi(sideband_params, 200.25)
         assert r.re_chi1 == pytest.approx(0.10596249343776687, rel=1e-10)
@@ -130,8 +140,8 @@ class TestSweep:
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 4001])
     def test_omega_sweep_rows_independent_of_grid_size(self, sideband_params,
                                                        size):
-        # the shared n = 0 kernel is factored once with every row as a
-        # right-hand side; each row still equals the one-row chi bitwise
+        # the shared n = 0 kernel is broadcast, one solve per row; each row
+        # equals the one-row chi bitwise
         grid = np.linspace(199.0, 201.0, size)
         result = sweep(sideband_params, grid)
         assert len(result) == size and result.n_failed == 0
@@ -445,6 +455,14 @@ class TestFindFeatures:
         assert report.im_chi3_zeros == (2.0,)
         assert report.transparency_points == (2.0,)
 
+    def test_exact_zero_on_the_last_row(self):
+        # the last row has no next row: an exact zero there is a zero, and
+        # reads Im chi1 on its own row
+        report = find_features(synthetic_result(
+            [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 0.0], im1=[1.0, 1.0, 1.0, 0.01]))
+        assert report.im_chi3_zeros == (3.0,)
+        assert report.transparency_points == (3.0,)
+
     def test_empty_report(self):
         xs = [0.0, 1.0, 2.0]
         report = find_features(synthetic_result(xs, [1.0, 1.0, 1.0],
@@ -545,6 +563,25 @@ class TestWriters:
                 json.dump(json_payload(result, extra), f, indent=2)
                 f.write("\n")
             assert out.read_bytes() == ref.read_bytes()
+
+    def test_json_failed_rows_anywhere(self, tmp_path, sideband_params):
+        # failed rows first, last, in runs and on every other row, with
+        # null ratios in between, each land on their own row
+        rng = np.random.default_rng(29)
+        n = 5000
+        chis = rng.normal(size=(4, n))
+        chis[1, 7::97] = 0.0        # Im chi1 = 0: a null ratio_31
+        failed = [0, n - 1, *range(10, 40), *range(2000, 2500, 2),
+                  *range(4000, 4100)]
+        chis[:, failed] = math.nan
+        result = SweepResult(
+            "g1", sideband_params, np.linspace(0.0, 10.0, n), *chis,
+            errors={row: f"ValueError: row {row}" for row in failed},
+            fixed_omega=200.25)
+        out = tmp_path / "rows.json"
+        write_json(result, out)
+        assert out.read_text() == json.dumps(json_payload(result),
+                                             indent=2) + "\n"
 
     def test_json_metadata(self, tmp_path, sideband_params):
         result = sweep(sideband_params, axis_grid(200.0, 200.1, 0.1))
