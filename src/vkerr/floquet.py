@@ -17,8 +17,10 @@ are independent unknowns: hermiticity of the solution is a check.
 
 A0 never couples (mm, 11, m1, 1m), (1p, mp) and (p1, pm), so each kernel
 is one 4x4 block, solved by LAPACK, and two 2x2 pairs, solved in closed
-form.  The sources of an order are one stacked product per row,
-[A+ | A-] times z_{m-1}^{n-1} and z_{m-1}^{n+1} stacked.
+form; a kernel is singular where a block's determinant is at most
+_REL_TOL of the sum of the moduli of its terms, whatever the scale of its
+rows and columns.  The sources of an order are one stacked product per
+row, [A+ | A-] times z_{m-1}^{n-1} and z_{m-1}^{n+1} stacked.
 
 Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 'm1' = rho_{-1}, '1m' = rho_{1-}, '1p' = rho_{1+}, 'p1' = rho_{+1},
@@ -27,7 +29,6 @@ Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -164,7 +165,8 @@ class HarmonicTable:
     stacked.  Only [A+ | A-], the blocks of A0 and c0 are kept from the
     operators.  A row whose kernel is singular, or whose solution is not
     finite, records its error and the other rows are unaffected: every row
-    is bitwise independent of the batch it sits in.
+    is bitwise independent of the batch it sits in.  No scaling of a
+    kernel's rows or columns changes which rows are singular.
     """
 
     def __init__(self, coeffs: CoefficientSet, delta_p):
@@ -176,9 +178,8 @@ class HarmonicTable:
         self._block = -ops[:, 0, _BLOCK, _BLOCK]
         # the pairs [[a, q], [r, d]] from (1p, p1, mp, pm): (rows, 2) each
         pairs, first, second = -ops[:, 0, 4:TRACE, 4:TRACE], [0, 1], [2, 3]
-        self._pair = _, q, r, _ = tuple(pairs[:, i, j] for i in (first, second)
-                                        for j in (first, second))
-        self._qr, self._q2, self._r2 = q * r, _abs2(q), _abs2(r)
+        self._pair = tuple(pairs[:, i, j] for i in (first, second)
+                           for j in (first, second))
         self._c0 = ops[:, 0, :, TRACE].copy()
         self._coupling = np.concatenate((ops[:, 1], ops[:, 2]), axis=2)  # [A+|A-]
         self._orders: dict = {}
@@ -212,28 +213,25 @@ class HarmonicTable:
         pairs and ``det`` their determinants, each with one row per table
         row, or one row that the solve broadcasts (n = 0 of shared
         coefficients).
-        ``singular`` flags the rows whose |det| is below _REL_TOL times the
-        product of the row norms: by Hadamard's bound a scale-free test,
-        true on non-finite rows too.  Every row of the kernel lies in one
-        block, so its determinant and row norms are those of the blocks.
-        The singular rows of ``block`` are identity stand-ins, which keep
-        the stacked solve regular.
+        ``singular`` flags a row when the determinant of one of its blocks
+        is at most _REL_TOL times the sum of the moduli of its terms: for a
+        pair, |ad - qr| <= _REL_TOL (|ad| + |qr|).  The verdict is the same
+        whatever power of two scales a row or column of the kernel, and
+        true on non-finite rows.  The singular rows of ``block`` are
+        identity stand-ins, which keep the stacked solve regular.
         """
         if n in self._kernels:
             return self._kernels[n]
-        block, (a, _, _, d) = self._block, self._pair
+        block, (a, q, r, d) = self._block, self._pair
         if n != 0:
             shift = 1j * n * self.delta_p
             block = block + _EYE4 * shift[:, None, None]
             a, d = a + shift[:, None], d + shift[:, None]
-        det = a * d - self._qr
-        # a zero row norm logs to -inf (the caller ignores the warning)
-        _, logdet = np.linalg.slogdet(block)
-        logdet = logdet + np.log(np.abs(det)).sum(axis=-1)
-        norms = np.concatenate((_abs2(block).sum(axis=-1), _abs2(a) + self._q2,
-                                self._r2 + _abs2(d)), axis=-1)
-        lognorms = 0.5 * np.log(norms).sum(axis=-1)
-        singular = ~(logdet > lognorms + math.log(_REL_TOL))
+        ad, qr = a * d, q * r
+        det, terms = ad - qr, np.abs(ad) + np.abs(qr)
+        # each determinant against its terms: false on nan, so ~ flags the
+        # non-finite rows
+        singular = ~((np.abs(det) > _REL_TOL * terms).all(-1) & _block_regular(block))
         if singular.any():
             block = np.where(singular[:, None, None], _EYE4, block)
         self._kernels[n] = block, a, d, det, singular
@@ -274,9 +272,27 @@ class HarmonicTable:
         return np.broadcast_to(z, (rows, TRACE + 1)), failures
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    """|x|^2 as x.real^2 + x.imag^2, the sum numpy's norm takes."""
-    return x.real ** 2 + x.imag ** 2
+def _block_regular(block: np.ndarray) -> np.ndarray:
+    """Whether each 4x4 ``block`` has |det| above _REL_TOL times the sum of
+    the moduli of its 24 terms, by Laplace expansion in 2x2 minors.
+
+    Its rows are first scaled by powers of two to a largest modulus in
+    [1/2, 1), so no product of four entries overflows.  Like any power-of-two
+    scaling of a row or column, that is exact and scales every term alike,
+    so the verdict keeps its bits.  The expansion is accurate to ~1e-16 of
+    the terms' sum, far below _REL_TOL.
+    """
+    # each largest modulus from the four column slices: ndarray.max(axis) is
+    # an order of magnitude slower on four entries
+    w, x, y, z = np.abs(block).T
+    _, exponent = np.frexp(np.maximum(np.maximum(w, x), np.maximum(y, z)))
+    block = block * np.ldexp(1.0, -exponent).T[..., None]
+    # six column pairs (j, k), ordered so that pair i and pair 5 - i are
+    # complements whose product enters det with a plus sign
+    j, k = block[..., [0, 0, 0, 1, 3, 2]], block[..., [1, 2, 3, 2, 1, 3]]
+    ad, bc = j[:, ::2] * k[:, 1::2], k[:, ::2] * j[:, 1::2]
+    det, terms = (m[:, 0] * m[:, 1, ::-1] for m in (ad - bc, np.abs(ad) + np.abs(bc)))
+    return np.abs(det.sum(axis=-1)) > _REL_TOL * terms.sum(axis=-1)
 
 
 def zeroth_order_steady_state(coeffs: CoefficientSet) -> SteadyState0:

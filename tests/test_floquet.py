@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -391,10 +392,37 @@ def dense_orders(coeffs, delta_p, m_max=3):
 
 
 def dense_singular(kernels):
-    """The singularity test on the whole 8x8 kernel, before the block split."""
-    _, logdet = np.linalg.slogdet(kernels)
-    lognorms = np.log(np.linalg.norm(kernels, axis=-1)).sum(axis=-1)
-    return ~(logdet > lognorms + math.log(_REL_TOL))
+    """The singularity rule on whole 8x8 kernels, split here by BLOCK_OF.
+
+    A row is singular when some block has |det| <= _REL_TOL times the sum of
+    the moduli of its terms, the products of one entry from each row and
+    column: LAPACK's det against every permutation.
+    """
+    singular = np.zeros(len(kernels), dtype=bool)
+    for k in range(len(BLOCKS)):
+        index = [i for i, el in enumerate(STATE) if BLOCK_OF[el] == k]
+        block = kernels[:, index][:, :, index]
+        rows = range(len(index))
+        terms = sum(np.abs(block[:, rows, list(perm)]).prod(axis=-1)
+                    for perm in itertools.permutations(rows))
+        singular |= ~(np.abs(np.linalg.det(block)) > _REL_TOL * terms)
+    return singular
+
+
+def kernel_flags(block, pair):
+    """HarmonicTable's singular flags for n = 0 kernels given by their blocks:
+    ``block`` (rows, 4, 4) and ``pair`` = (a, q, r, d), each (rows, 2)."""
+    table = HarmonicTable(coefficient_set(quiet_params()), np.zeros(len(block)))
+    table._block, table._pair = block, pair
+    return table._kernel(0)[-1]
+
+
+def hadamard_ratio(kernels):
+    """|det| over the product of the row norms of whole 8x8 kernels: the
+    singularity test before the per-block rule, which flagged a row when
+    this ratio was at most _REL_TOL."""
+    return (np.abs(np.linalg.det(kernels))
+            / np.linalg.norm(kernels, axis=-1).prod(axis=-1))
 
 
 def replaced(coeffs, **fields):
@@ -477,40 +505,104 @@ class TestDenseReference:
         self.assert_matches_dense(HarmonicTable(rows, dps), rows, dps)
 
     def test_singular_flags_at_the_threshold(self):
-        # kernels whose 8x8 Hadamard ratio |det| / prod(row norms) sits just
-        # above and just below _REL_TOL at n = +1: the rows flagged singular
-        # are those the 8x8 test flags.  The coefficients are synthetic: a
-        # diagonal 4x4 block, and pairs [[a, 0], [1, d]], whose ratio
-        # |d| / sqrt(1 + |d|^2) involves no cancellation, with d = tiny on
-        # (p1, pm)
+        # synthetic steady-state kernels whose block or pairs sit 1e-3 above
+        # and below the threshold: the rows flagged singular are those the
+        # dense rule flags.  With s = 1, c = 0, x1 = 1, x2 = x3 = -1 and no
+        # rotation, R_minus_plus = 1 + e makes the block's |det| / terms
+        # e / (4 + e), and gamma0_pair = 1 + e makes both pairs
+        # [[1, -1], [-1, 1 + e]], whose |ad - qr| / (|ad| + |qr|) is
+        # e / (2 + e).  The last row has a triangular block with diagonal
+        # 1e-7, 1, 1e7, 1e7 and two entries -1e7 beside the 1e-7: no term
+        # cancels, but its |det| is 3.5e-15 of the product of its row
+        # norms, so the row-norm (Hadamard) test rejected it
         params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
-        dp = 1.0
+        common = dict(s=1.0, c=0.0, lambda_1=0.0, lambda_plus=0.0, omega_R=0.0,
+                      x1=1 + 0j, x2=-1 + 0j, x3=-1 + 0j, x4=0j, R_plus_minus=1.0,
+                      R_minus_plus=2.0, R_1_minus=1.0, R_1_plus=1.0,
+                      Gamma3=1 + 0j, Gamma_plus=1 + 0j, gamma0_pair=2 + 0j)
+        triangular = dict(x1=1e7 + 0j, x2=0j, R_plus_minus=5e-8,
+                          R_minus_plus=5e-8, R_1_minus=5e-8, R_1_plus=1 - 5e-8,
+                          Gamma3=1e7 + 0j, gamma0_pair=1 + 0j)
+        base, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 6))
+        block, pair = 4 * _REL_TOL / (1 - _REL_TOL), 2 * _REL_TOL / (1 - _REL_TOL)
+        rows = [{}, dict(R_minus_plus=1 + block * (1 + 1e-3)),
+                dict(R_minus_plus=1 + block * (1 - 1e-3)),
+                dict(gamma0_pair=1 + pair * (1 + 1e-3) + 0j),
+                dict(gamma0_pair=1 + pair * (1 - 1e-3) + 0j), triangular]
+        coeffs = replaced(base, **{k: np.array([row.get(k, v) for row in rows])
+                                   for k, v in common.items()})
+        ops = reduced_operators(coeffs)[:, 0]
+        kernels = -ops[:, :, :TRACE]
+        assert list(dense_singular(kernels)) == [False, False, True, False, True, False]
+        assert hadamard_ratio(kernels[5:]) < _REL_TOL
+        z, failures = HarmonicTable(coeffs, np.zeros(6)).solve(0, 0)
+        assert set(failures) == {2, 4}
+        for row in (2, 4):
+            assert isinstance(failures[row], SingularSteadyState)
+            assert str(failures[row]) == (
+                "kernel i n delta_p - A0 singular at (m=0, n=0)")
+        expected = np.linalg.solve(kernels[5], ops[5, :, TRACE])
+        assert np.abs(z[5, :TRACE] - expected).max() <= 1e-15 * np.abs(expected).max()
 
-        def stack(tiny):
-            rows = len(tiny)
-            base, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * rows))
-            one, zero = np.ones(rows), np.zeros(rows)
-            return replaced(
-                base, s=one, c=zero, lambda_1=zero, lambda_plus=zero,
-                omega_R=-dp * one, x1=zero * 1j, x2=zero * 1j, x3=one + 0j,
-                x4=zero * 1j, R_plus_minus=one, R_minus_plus=one,
-                R_1_minus=one, R_1_plus=one, Gamma3=one + 0j,
-                Gamma_plus=one + 0j, gamma0_pair=np.asarray(tiny) + 0j)
+    def test_flags_unchanged_by_power_of_two_scaling(self):
+        # 256 synthetic kernels, entries 1e-8 to 1e8 in modulus: half with a
+        # block row, half with a pair, 1e-16 to 1e-4 relative off exact
+        # singularity, so the flags fall on both sides.  They are the dense
+        # rule's flags, and scaling every row and column of each block by
+        # 2^-40 to 2^40 leaves each of them as it was
+        rng = np.random.default_rng(61)
+        size = 256
 
-        def kernel(coeffs):
-            return 1j * dp * np.eye(TRACE) - reduced_operators(coeffs)[:, 0, :, :TRACE]
+        def draw(*shape):
+            return (10.0 ** rng.uniform(-8, 8, shape)
+                    * np.exp(2j * np.pi * rng.random(shape)))
 
-        # the ratio is linear in tiny there: scale a trial onto the threshold
-        trial = kernel(stack([1e-12]))
-        _, logdet = np.linalg.slogdet(trial)
-        ratio = np.exp(logdet - np.log(np.linalg.norm(trial, axis=-1)).sum(-1))[0]
-        at = 1e-12 * _REL_TOL / ratio
-        coeffs = stack([1.0, at * (1 + 1e-3), at * (1 - 1e-3), 0.5])
-        assert list(dense_singular(kernel(coeffs))) == [False, False, True, False]
-        _, failures = HarmonicTable(coeffs, [dp] * 4).solve(1, 1)
-        assert set(failures) == {2}
-        assert isinstance(failures[2], SingularKernel)
-        assert str(failures[2]) == "kernel i n delta_p - A0 singular at (m=1, n=1)"
+        def off(*shape):
+            return 1 + 10.0 ** rng.uniform(-16, -4, shape) * np.exp(
+                2j * np.pi * rng.random(shape))
+
+        def power_of_two(*shape):
+            return np.ldexp(1.0, rng.integers(-40, 41, shape))
+
+        near = rng.random(size) < 0.5
+        block = draw(size, 4, 4)
+        block[near, 3] = ((draw(size, 3, 1) * block[:, :3]).sum(axis=1)
+                          * off(size, 4))[near]
+        a, q, r = draw(size, 2), draw(size, 2), draw(size, 2)
+        d = np.where(near[:, None], draw(size, 2), q * r / a * off(size, 2))
+        flags = kernel_flags(block, (a, q, r, d))
+        assert 0 < flags[near].sum() < near.sum()
+        assert 0 < flags[~near].sum() < (~near).sum()
+        kernels = np.zeros((size, TRACE, TRACE), dtype=complex)
+        kernels[:, :4, :4] = block
+        for (i, j), entry in zip(((4, 4), (4, 6), (6, 4), (6, 6)), (a, q, r, d)):
+            kernels[:, [i, i + 1], [j, j + 1]] = entry
+        assert np.array_equal(dense_singular(kernels), flags)
+        f1, f2, c1, c2 = power_of_two(4, size, 2)
+        rows, columns = power_of_two(size, 4, 1), power_of_two(size, 1, 4)
+        scaled = kernel_flags(rows * block * columns,
+                              (f1 * a * c1, f1 * q * c2, f2 * r * c1, f2 * d * c2))
+        assert np.array_equal(scaled, flags)
+        # and 2^+-300 on every entry, where a product of four overflows
+        for scale in (2.0 ** 300, 2.0 ** -300):
+            pairs = tuple(scale * entry for entry in (a, q, r, d))
+            assert np.array_equal(kernel_flags(scale * block, pairs), flags)
+
+
+def wide_params(rng):
+    """random_params over wide ranges: rates from 1e-12 to 1e4, kappa from
+    1e-8 to 1e12 and detunings up to 1e10 in modulus, so the diagonal of A0
+    can span twenty decades."""
+    gamma1, gamma2 = 10.0 ** rng.uniform(-12, 4, 2)
+    g1, g2 = np.where(rng.random(2) < 0.3, 0.0, 10.0 ** rng.uniform(-12, 4, 2))
+    omega21, delta, delta_c = (rng.choice([-1.0, 1.0], 3)
+                               * 10.0 ** rng.uniform(-2, 10, 3))
+    return quiet_params(
+        gamma1=gamma1, gamma2=gamma2, g1=g1, g2=g2,
+        kappa=10.0 ** rng.uniform(-8, 12), omega21=omega21,
+        omega_L_rabi=10.0 ** rng.uniform(-2, 10) * (rng.random() < 0.8),
+        delta=delta, delta_c=delta_c,
+        gamma12_override=rng.uniform(-1.0, 1.0) * math.sqrt(gamma1 * gamma2))
 
 
 class TestSingularBlocks:
@@ -561,3 +653,40 @@ class TestSingularBlocks:
                         R_1_plus=0.0)
         with pytest.raises(SingularSteadyState, match=r"\(m=0, n=0\)"):
             zeroth_order_steady_state(zero)
+
+
+class TestBadlyScaledKernels:
+    @staticmethod
+    def assert_steady_states_match_dense(coeffs, rows):
+        # the steady states solve, and equal the dense 8x8 solve; returns
+        # how many of them the row-norm (Hadamard) test called singular
+        (expected,) = dense_orders(coeffs, np.zeros(rows), m_max=0)[0].values()
+        assert np.isfinite(expected).all()
+        z, failures = HarmonicTable(coeffs, np.zeros(rows)).solve(0, 0)
+        assert not failures
+        err = np.abs(z - expected).max(axis=-1)
+        assert (err <= 1e-9 * np.abs(expected).max(axis=-1)).all()
+        kernels = -reduced_operators(coeffs)[:, 0, :, :TRACE]
+        return z, (hadamard_ratio(kernels) <= _REL_TOL).sum()
+
+    def test_regular_steady_state_of_a_wide_diagonal(self):
+        # the diagonal of A0 spans 2.7e-11 to 1.3e7; the row-norm (Hadamard)
+        # test called this steady state singular
+        cs = coefficient_set(quiet_params(
+            gamma1=556.0, gamma2=1.33e-11, g1=0.0, g2=0.0, kappa=8.13e6,
+            omega21=-1.25e7, omega_L_rabi=0.0, delta=9640.0, delta_c=-7.67e9))
+        z, rejected = self.assert_steady_states_match_dense(cs, 1)
+        assert rejected == 1
+        mm, p11, m1 = z[0, :3]
+        ss = zeroth_order_steady_state(cs)
+        assert (ss.rho_mm, ss.rho_11, ss.rho_m1) == (mm.real, p11.real, m1)
+
+    def test_wide_range_batch(self):
+        # one coefficient_rows batch of wide-range draws, among them steady
+        # states that the row-norm test rejected
+        rng = np.random.default_rng(67)
+        draws = [wide_params(rng) for _ in range(200)]
+        rows, failures = coefficient_rows(columns_of(draws))
+        assert not failures
+        _, rejected = self.assert_steady_states_match_dense(rows, len(draws))
+        assert rejected >= 3
