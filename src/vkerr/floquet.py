@@ -16,11 +16,12 @@ plus the constants times the trace of order (0, 0).  Conjugate elements
 are independent unknowns: hermiticity of the solution is a check.
 
 A0 never couples (mm, 11, m1, 1m), (1p, mp) and (p1, pm), so each kernel
-is one 4x4 block, solved by LAPACK, and two 2x2 pairs, solved in closed
-form; a kernel is singular where a block's determinant is at most
-_REL_TOL of the sum of the moduli of its terms, whatever the scale of its
-rows and columns.  The sources of an order are one stacked product per
-row, [A+ | A-] times z_{m-1}^{n-1} and z_{m-1}^{n+1} stacked.
+is one 4x4 block and two 2x2 pairs, all solved by Gaussian elimination
+with partial pivoting: LAPACK's for the block, written out for the pairs.
+A kernel is singular where a block's determinant is at most _REL_TOL of
+the sum of the moduli of its terms, whatever the scale of its rows and
+columns.  The sources of an order are the two products the recursion
+states, A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1}.
 
 Element labels: 'mm' = rho_{--}, '11' = rho_{11}, 'pp' = rho_{++},
 'm1' = rho_{-1}, '1m' = rho_{1-}, '1p' = rho_{1+}, 'p1' = rho_{+1},
@@ -160,13 +161,13 @@ class HarmonicTable:
     Each order is solved on the block structure of the kernel i n d - A0:
     one 4x4 LAPACK solve per row for (mm, 11, m1, 1m), where a kernel that
     every row shares is broadcast, and the pairs (1p, mp) and (p1, pm) by
-    Cramer's rule.  The sources A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are
-    one stacked matrix product per row, [A+ | A-] times the two orders
-    stacked.  Only [A+ | A-], the blocks of A0 and c0 are kept from the
-    operators.  A row whose kernel is singular, or whose solution is not
-    finite, records its error and the other rows are unaffected: every row
-    is bitwise independent of the batch it sits in.  No scaling of a
-    kernel's rows or columns changes which rows are singular.
+    the same elimination with partial pivoting, written out.  The sources
+    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} are two stacked matrix products,
+    one matrix per row each.  A row whose kernel is singular, or whose
+    solution is not finite, records its error and the other rows are
+    unaffected: every row is bitwise independent of the batch it sits in.
+    No scaling of a kernel's rows or columns changes which rows are
+    singular.
     """
 
     def __init__(self, coeffs: CoefficientSet, delta_p):
@@ -174,14 +175,14 @@ class HarmonicTable:
         ops = reduced_operators(coeffs)
         if self.delta_p.ndim != 1 or len(ops) not in (1, len(self.delta_p)):
             raise ValueError("need one coefficient row, or one per delta_p")
-        # the parts of the kernel -A0 and of the sources that no order changes
+        # the parts of the kernel -A0 that no order changes
         self._block = -ops[:, 0, _BLOCK, _BLOCK]
         # the pairs [[a, q], [r, d]] from (1p, p1, mp, pm): (rows, 2) each
         pairs, first, second = -ops[:, 0, 4:TRACE, 4:TRACE], [0, 1], [2, 3]
         self._pair = tuple(pairs[:, i, j] for i in (first, second)
                            for j in (first, second))
-        self._c0 = ops[:, 0, :, TRACE].copy()
-        self._coupling = np.concatenate((ops[:, 1], ops[:, 2]), axis=2)  # [A+|A-]
+        # c0, A+ and A-, which the orders read in place
+        self._ops = ops
         self._orders: dict = {}
         self._kernels: dict = {}
         # every order outside the reachable cone, shared and read-only
@@ -207,10 +208,14 @@ class HarmonicTable:
         return self._orders[m, n]
 
     def _kernel(self, n: int) -> tuple:
-        """(block, a, d, det, singular): i n delta_p - A0, built once per n.
+        """(block, swap, p, pq, l, u, singular): i n delta_p - A0, built
+        once per n.
 
-        ``block`` is the 4x4 block, ``a`` and ``d`` the diagonals of the two
-        pairs and ``det`` their determinants, each with one row per table
+        ``block`` is the 4x4 block.  The rest factor both pairs
+        [[a, q], [r, d]] at once, each (rows, 2): ``swap`` where |r| > |a|
+        puts the second row first, ``p`` and ``pq`` are the leading row,
+        ``l`` the multiplier that eliminates the other row's first entry
+        and ``u`` what is left of its second.  Each has one row per table
         row, or one row that the solve broadcasts (n = 0 of shared
         coefficients).
         ``singular`` flags a row when the determinant of one of its blocks
@@ -234,31 +239,36 @@ class HarmonicTable:
         singular = ~((np.abs(det) > _REL_TOL * terms).all(-1) & _block_regular(block))
         if singular.any():
             block = np.where(singular[:, None, None], _EYE4, block)
-        self._kernels[n] = block, a, d, det, singular
+        # partial pivoting: the row with the larger first entry leads
+        swap = np.abs(r) > np.abs(a)
+        p, pq = np.where(swap, r, a), np.where(swap, d, q)
+        o, od = np.where(swap, a, r), np.where(swap, q, d)
+        l = o / p
+        self._kernels[n] = block, swap, p, pq, l, od - l * pq, singular
         return self._kernels[n]
 
     def _solve_order(self, m: int, n: int) -> tuple:
         rows = len(self.delta_p)
         if m == 0:
             # z_0^0 depends on the coefficients only: one solve per set
-            rhs, failures = self._c0, {}
+            rhs, failures = self._ops[:, 0, :, TRACE], {}
         else:
             (lower, lower_failed), (above, above_failed) = (
                 self.solve(m - 1, n - 1), self.solve(m - 1, n + 1))
-            # A+ lower + A- above: one stacked product per row, so a row's
-            # bits do not depend on the batch it sits in
-            rhs = (self._coupling
-                   @ np.concatenate((lower, above), axis=1)[..., None])[..., 0]
+            # A+ lower + A- above: stacked products, one per row, so a
+            # row's bits do not depend on the batch it sits in
+            rhs = (self._ops[:, 1] @ lower[..., None]
+                   + self._ops[:, 2] @ above[..., None])[..., 0]
             failures = {**above_failed, **lower_failed}
-        block, a, d, det, singular = self._kernel(n)
+        block, swap, p, pq, l, u, singular = self._kernel(n)
         z = np.empty((len(rhs), TRACE + 1), dtype=complex)
         # one LAPACK solve per row, a shared kernel broadcast over the rows
         z[:, _BLOCK] = np.linalg.solve(block, rhs[:, _BLOCK, None])[..., 0]
-        # both pairs at once by Cramer's rule
-        _, q, r, _ = self._pair
+        # both pairs at once, eliminated below the pivot, then substituted
         first, second = rhs[:, _FIRST], rhs[:, _SECOND]
-        np.divide(d * first - q * second, det, out=z[:, _FIRST])
-        np.divide(a * second - r * first, det, out=z[:, _SECOND])
+        lead, other = np.where(swap, second, first), np.where(swap, first, second)
+        np.divide(other - l * lead, u, out=z[:, _SECOND])
+        np.divide(lead - pq * z[:, _SECOND], p, out=z[:, _FIRST])
         z[:, TRACE] = 1.0 if m == 0 else 0.0
         # a regular kernel can still over- or underflow into inf or nan
         if singular.any() or not np.isfinite(z).all():

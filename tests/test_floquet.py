@@ -504,6 +504,18 @@ class TestDenseReference:
         dps = rng.uniform(0.05, 5.0, 40) * rng.choice([-1.0, 1.0], 40)
         self.assert_matches_dense(HarmonicTable(rows, dps), rows, dps)
 
+    def test_pairs_led_by_their_second_row(self):
+        # a lightly damped rho_{+1} (Gamma_plus 1e-9) at delta_p on its
+        # rotation, with x2 and x3 set: at n = +-1 a pair's first entry is
+        # 1e-9 against 0.5 below it, so elimination that does not swap the
+        # rows is ~3e-8 off the dense solve
+        cs = replaced(coefficient_set(quiet_params(g1=0.0, g2=0.0, delta=0.0)),
+                      Gamma_plus=1e-9 + 0j, x2=0.3 - 0.2j, x3=0.5 + 0.5j)
+        dp = cs.basis.lambda_1 - cs.basis.lambda_plus
+        table = HarmonicTable(cs, dp)
+        assert table._kernel(1)[1].any() and table._kernel(-1)[1].any()
+        self.assert_matches_dense(table, cs, dp)
+
     def test_singular_flags_at_the_threshold(self):
         # synthetic steady-state kernels whose block or pairs sit 1e-3 above
         # and below the threshold: the rows flagged singular are those the
@@ -681,12 +693,51 @@ class TestBadlyScaledKernels:
         ss = zeroth_order_steady_state(cs)
         assert (ss.rho_mm, ss.rho_11, ss.rho_m1) == (mm.real, p11.real, m1)
 
-    def test_wide_range_batch(self):
-        # one coefficient_rows batch of wide-range draws, among them steady
-        # states that the row-norm test rejected
+    @staticmethod
+    def wide_range_orders():
+        """One coefficient_rows batch of 200 wide-range draws at delta_p
+        drawn per row: every order m <= 3 of the table, which solves every
+        row, and of the dense hierarchy."""
         rng = np.random.default_rng(67)
         draws = [wide_params(rng) for _ in range(200)]
+        # at one delta_p for all, such as 0.25, draw 61 sits on a kernel
+        # where the dense and the block solve are both ~1e-3 away from a
+        # 50-digit solve: a conditioning margin, not a defect of the solve
+        delta_p = rng.uniform(-5.0, 5.0, len(draws))
         rows, failures = coefficient_rows(columns_of(draws))
         assert not failures
-        _, rejected = self.assert_steady_states_match_dense(rows, len(draws))
+        table = HarmonicTable(rows, delta_p)
+        expected, _ = dense_orders(rows, delta_p)
+        orders = {}
+        for order in expected:
+            orders[order], failures = table.solve(*order)
+            assert not failures, order
+        return rows, orders, expected
+
+    def test_wide_range_batch(self):
+        # among the steady states, some that the row-norm test rejected;
+        # every row of every order m <= 3 lies within 1e-6 of its largest
+        # |z| of the dense hierarchy
+        rows, orders, expected = self.wide_range_orders()
+        _, rejected = self.assert_steady_states_match_dense(rows, len(rows.basis.c))
         assert rejected >= 3
+        for order, z in orders.items():
+            err = np.abs(z - expected[order]).max(axis=-1)
+            assert (err <= 1e-6 * np.abs(expected[order]).max(axis=-1)).all(), order
+
+    def test_wide_range_batch_hermitian(self):
+        # conjugate elements are solved apart, so hermiticity is a check:
+        # |z_a^{m,n} - conj(z_{a*}^{m,-n})| within 1e-6 of the row's largest
+        # |z| at both orders, rho_{++} from the trace
+        _, orders, _ = self.wide_range_orders()
+        elements = STATE + ("pp",)
+        conj = [elements.index(CONJUGATE_ELEMENT[el]) for el in elements]
+
+        def with_pp(z):
+            return np.column_stack((z[:, :TRACE], z[:, TRACE] - z[:, 0] - z[:, 1]))
+
+        for (m, n), z in orders.items():
+            z, w = with_pp(z), with_pp(orders[m, -n])
+            scale = np.maximum(np.abs(z).max(axis=-1), np.abs(w).max(axis=-1))
+            defect = np.abs(z - w[:, conj].conj()).max(axis=-1)
+            assert (defect <= 1e-6 * scale).all(), (m, n)
