@@ -142,11 +142,6 @@ def _number(value):
     return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _fields(record) -> dict:
-    """The fields of a NamedTuple record, in declared order, as JSON numbers."""
-    return {name: _number(value) for name, value in record._asdict().items()}
-
-
 def _run_point(args) -> None:
     params = _load_params(args)
     result = chi(params, args.omega)
@@ -217,13 +212,25 @@ def _run_figure_preset(args) -> None:
                      f"({result.n_failed} failed) -> {args.out}\n")
 
 
+# dump-coefficients writes the flat CoefficientSet after its basis in these
+# blocks, in the record's field order
+_COEFFICIENT_BLOCKS = {
+    "cavity_response": ("B0", "B1", "B2", "B3", "B4"),
+    "interference": ("x1", "x2", "x3", "x4"),
+    "rates": ("R_plus_minus", "R_minus_plus", "R_1_minus", "R_1_plus", "Gamma0",
+              "Gamma_minus", "Gamma_plus", "Gamma1", "Gamma2", "Gamma3",
+              "gamma0_pair"),
+}
+
+
 def _run_dump_coefficients(args) -> None:
     params = _load_params(args)
     coeffs = coefficient_set(params)
     meta = metadata(params)
     _emit({"metadata": meta, "gamma12": meta.pop("gamma12"),
-           **{name: _fields(block) for name, block in coeffs._asdict().items()}},
-          args.out)
+           "basis": coeffs.basis._asdict(),     # real numbers only
+           **{block: {name: _number(getattr(coeffs, name)) for name in names}
+              for block, names in _COEFFICIENT_BLOCKS.items()}}, args.out)
 
 
 _RUNNERS = {

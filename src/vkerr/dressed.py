@@ -1,4 +1,4 @@
-"""Dressed basis and cavity-modified coefficient blocks.
+"""Dressed basis and cavity-modified coefficients.
 
 The strong drive on |0> <-> |2> is diagonalized into dressed states
 
@@ -39,9 +39,6 @@ from .params import ParameterColumns, SystemParams, effective_gamma12
 __all__ = [
     "DegenerateDressing",
     "DressedBasis",
-    "CavityResponse",
-    "InterferenceTerms",
-    "RateSet",
     "CoefficientSet",
     "coefficient_set",
 ]
@@ -60,30 +57,31 @@ class DressedBasis(NamedTuple):
     lambda_1: float
 
 
-class CavityResponse(NamedTuple):
-    """Cavity filter factors at the five dressed emission frequencies."""
-    B0: complex
-    B1: complex
-    B2: complex
-    B3: complex
-    B4: complex
+class CoefficientSet(NamedTuple):
+    """Everything the reduced dynamics needs, for one or many parameter sets.
 
-
-class InterferenceTerms(NamedTuple):
-    x1: complex
-    x2: complex
-    x3: complex
-    x4: complex
-
-
-class RateSet(NamedTuple):
-    """Population transfer rates and complex coherence dampings.
+    ``coefficient_set`` fills the fields with numbers for one SystemParams;
+    ``coefficient_rows`` fills them with 1-D arrays, one row per row of a
+    ParameterColumns.  After the dressed ``basis`` come the cavity filter
+    factors B0..B4 at the five dressed emission lines, the interference
+    terms x1..x4, the population transfer rates and the complex coherence
+    dampings.
 
     ``gamma0_pair`` is the damping actually carried by the rho_{-+}
     coherence.  It differs from ``Gamma0`` by conjugating the B2 filter:
     the B2 channel acts on the |+> side of rho_{-+}, so its Purcell shift
     enters with the opposite sign to the population-side channels.
     """
+    basis: DressedBasis
+    B0: complex
+    B1: complex
+    B2: complex
+    B3: complex
+    B4: complex
+    x1: complex
+    x2: complex
+    x3: complex
+    x4: complex
     R_plus_minus: float
     R_minus_plus: float
     R_1_minus: float
@@ -95,19 +93,6 @@ class RateSet(NamedTuple):
     Gamma2: complex
     Gamma3: complex
     gamma0_pair: complex
-
-
-class CoefficientSet(NamedTuple):
-    """Everything the reduced dynamics needs, for one or many parameter sets.
-
-    ``coefficient_set`` fills the four blocks with numbers for one
-    SystemParams; ``coefficient_rows`` fills them with 1-D arrays, one row
-    per row of a ParameterColumns.
-    """
-    basis: DressedBasis
-    cavity_response: CavityResponse
-    interference: InterferenceTerms
-    rates: RateSet
 
 
 _DEGENERATE = "omega_L_rabi = 0 and delta = 0"
@@ -132,7 +117,7 @@ def _dress(params: ParameterColumns) -> DressedBasis:
 
 
 def coefficient_rows(params: ParameterColumns) -> tuple:
-    """(set, failures): every coefficient block, one array row per parameter row.
+    """(set, failures): every coefficient, one array row per parameter row.
 
     ``failures`` maps a row without coefficients to its exception:
     DegenerateDressing where Omega_R = 0, OverflowError where a coefficient
@@ -160,26 +145,23 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
         Gamma_plus = probe_line + c2 * (c2 * D22[2] + s2 * D22[0])
         shift = 1j * (basis.lambda_plus - params.omega21)
         coeffs = CoefficientSet(
-            basis,
-            CavityResponse._make(np.stack([c2, s2, c2, s2, c2]) * f),
-            InterferenceTerms(
-                x1=c2 * D12[0] - s2 * D12[3].conj(),
-                x2=c2 * D12[0] + s2 * D12[1],
-                x3=c2 * D12[0].conj() + 2.0 * c2 * D12[4] + s2 * D12[3],
-                x4=s2 * D12[3] + c2 * D12[4]),
-            RateSet(
-                R_plus_minus=2.0 * c2 * c2 * D22[2].real,
-                R_minus_plus=2.0 * s2 * s2 * D22[1].real,
-                R_1_minus=2.0 * c2 * D11[4].real,
-                R_1_plus=2.0 * s2 * D11[3].real,
-                Gamma0=Gamma0, Gamma_minus=Gamma_minus, Gamma_plus=Gamma_plus,
-                Gamma1=Gamma0 + 1j * basis.omega_R,
-                Gamma2=Gamma_plus - shift,
-                Gamma3=Gamma_minus - shift,
-                # rho_{-+}: line 2 sits on the |+> (right) side, so it enters
-                # conjugated
-                gamma0_pair=Gamma0 + c2 * c2 * (D22[2].conj() - D22[2])))
-    values = [v for block in coeffs for v in block]
+            basis, *np.stack([c2, s2, c2, s2, c2]) * f,     # B0..B4
+            x1=c2 * D12[0] - s2 * D12[3].conj(),
+            x2=c2 * D12[0] + s2 * D12[1],
+            x3=c2 * D12[0].conj() + 2.0 * c2 * D12[4] + s2 * D12[3],
+            x4=s2 * D12[3] + c2 * D12[4],
+            R_plus_minus=2.0 * c2 * c2 * D22[2].real,
+            R_minus_plus=2.0 * s2 * s2 * D22[1].real,
+            R_1_minus=2.0 * c2 * D11[4].real,
+            R_1_plus=2.0 * s2 * D11[3].real,
+            Gamma0=Gamma0, Gamma_minus=Gamma_minus, Gamma_plus=Gamma_plus,
+            Gamma1=Gamma0 + 1j * basis.omega_R,
+            Gamma2=Gamma_plus - shift,
+            Gamma3=Gamma_minus - shift,
+            # rho_{-+}: line 2 sits on the |+> (right) side, so it enters
+            # conjugated
+            gamma0_pair=Gamma0 + c2 * c2 * (D22[2].conj() - D22[2]))
+    values = [*basis, *coeffs[1:]]
     finite = np.isfinite(np.concatenate(values)).reshape(len(values), -1).all(axis=0)
     failures = {     # Omega_R = 0 leaves nan in c and s
         int(row): DegenerateDressing(_DEGENERATE) if basis.omega_R[row] == 0.0
@@ -189,7 +171,7 @@ def coefficient_rows(params: ParameterColumns) -> tuple:
 
 
 def coefficient_set(params: SystemParams) -> CoefficientSet:
-    """Every coefficient block for one parameter set, as Python numbers.
+    """Every coefficient for one parameter set, as Python numbers.
 
     Computed as a one-row ``coefficient_rows``, so the numbers are those of
     the same row in any batch.
@@ -197,5 +179,5 @@ def coefficient_set(params: SystemParams) -> CoefficientSet:
     coeffs, failures = coefficient_rows(ParameterColumns.along(params))
     if failures:
         raise failures[0]
-    return CoefficientSet._make(type(b)._make(v.item() for v in b)
-                                for b in coeffs)
+    return CoefficientSet(DressedBasis._make(v.item() for v in coeffs.basis),
+                          *(v.item() for v in coeffs[1:]))

@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dressed import (CoefficientSet, DressedBasis, InterferenceTerms,
-                      RateSet)
+from .dressed import CoefficientSet, DressedBasis
 
 __all__ = [
     "SingularSteadyState",
@@ -75,12 +74,13 @@ def reduced_operators(coeffs: CoefficientSet) -> np.ndarray:
     entry is one array expression over the rows, so a row's operators do not
     depend on which other rows share the stack.
     """
-    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
+    basis = coeffs.basis
     (c, s, omega_R, lambda_1, lambda_plus, x1, x2, x3, x4, R_mp, R_pm, R_1m,
      R_1p, gamma_plus, g_m1, gamma0_pair) = np.atleast_1d(
         basis.c, basis.s, basis.omega_R, basis.lambda_1, basis.lambda_plus,
-        x.x1, x.x2, x.x3, x.x4, r.R_minus_plus, r.R_plus_minus, r.R_1_minus,
-        r.R_1_plus, r.Gamma_plus, r.Gamma3, r.gamma0_pair)
+        coeffs.x1, coeffs.x2, coeffs.x3, coeffs.x4, coeffs.R_minus_plus,
+        coeffs.R_plus_minus, coeffs.R_1_minus, coeffs.R_1_plus,
+        coeffs.Gamma_plus, coeffs.Gamma3, coeffs.gamma0_pair)
     # drift constants: damping + i * (bare rotation of the element)
     g_1p = gamma_plus.conj() + 1j * (lambda_1 - lambda_plus)
     g_mp = gamma0_pair - 1j * omega_R
@@ -129,11 +129,10 @@ def _written_entries() -> np.ndarray:
     every entry it writes into NaN and leaves every other entry 0.
     """
     nan = np.full(1, np.nan)
-    basis, interference, rates = (cls._make([nan] * len(cls._fields)) for cls in
-                                  (DressedBasis, InterferenceTerms, RateSet))
+    coeffs = CoefficientSet(DressedBasis._make([nan] * len(DressedBasis._fields)),
+                            *[nan] * (len(CoefficientSet._fields) - 1))
     with np.errstate(all="ignore"):
-        return np.isnan(reduced_operators(
-            CoefficientSet(basis, None, interference, rates))[0])
+        return np.isnan(reduced_operators(coeffs)[0])
 
 
 # The kernel i n delta_p - A0 splits into blocks that A0 never couples: the

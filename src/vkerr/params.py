@@ -162,12 +162,9 @@ class ParameterColumns(namedtuple("ParameterColumns", SystemParams._fields,
               values=()) -> "ParameterColumns":
         """``params`` on every row, with field ``axis_name`` set to ``values``.
 
-        Without an axis there is one row.  Setting theta clears
-        gamma12_override, as ``SystemParams.replace`` does.
+        Without an axis there is one row.
         """
         data = params._asdict()
-        if axis_name == "theta":
-            data["gamma12_override"] = None
         rows = 1 if axis_name is None else len(values)
         columns = {name: np.full(rows, value, dtype=float)
                    for name, value in data.items() if value is not None}

@@ -194,7 +194,9 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
     each row's result equals ``chi`` at that row's parameters and probe
     detuning.  A parameter axis is validated and turned into coefficients as
     ParameterColumns, a batch at a time; a row that breaks a SystemParams
-    rule records the error constructing its SystemParams would raise.
+    rule records the error constructing its SystemParams would raise.  The
+    result keeps the parameters every row shares: a theta axis clears
+    gamma12_override, on every row and in ``params``.
     """
     if axis_name not in SWEEPABLE:
         raise ValueError(f"axis must be one of {SWEEPABLE}, got {axis_name!r}")
@@ -204,6 +206,8 @@ def sweep(params: SystemParams, values, axis_name: str = "omega",
     if axis_name != "omega" and omega is None:
         raise ValueError("parameter sweeps need a fixed omega")
     values = np.fromiter(values, dtype=float)
+    if axis_name == "theta":    # as SystemParams.replace does on each row
+        params = params.replace(gamma12_override=None)
 
     if axis_name == "omega":
         # one coefficient row, shared by every omega: its failure is fatal

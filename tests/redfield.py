@@ -11,13 +11,16 @@ S = g1 |0><1| + g2 |0><2|,
 
 where S~ is S with each dressed-basis element <j|S|k> filtered at its
 emission line, divided by kappa + i (delta_c + E_j - E_k).  No secular
-approximation is made: every element couples to every other.  The helper
-shares nothing with dressed or floquet but the dressed kets and energies.
+approximation is made: every element couples to every other.
+``redfield_operator`` shares nothing with dressed or floquet but the
+dressed kets and energies; ``redfield_chi`` takes the probe couplings A+-
+from floquet, which are exact, and only A0 from here.
 """
 
 import numpy as np
 
-from vkerr.floquet import STATE, TRACE
+from vkerr.dressed import coefficient_set
+from vkerr.floquet import STATE, TRACE, reduced_operators
 from vkerr.params import effective_gamma12
 
 # the dressed states |->, |1>, |+>: their index in the dressed frame
@@ -81,3 +84,29 @@ def rotations(basis):
     """
     E = dressed_energies(basis)
     return np.array([E[INDEX[a]] - E[INDEX[b]] for a, b in STATE + ("pp",)])
+
+
+def redfield_chi(params, delta_p):
+    """(chi1, chi3) at one probe detuning with the Redfield A0.
+
+    Floquet's order-by-order hierarchy, (i n delta_p - A0) z_m^n =
+    A+ z_{m-1}^{n-1} + A- z_{m-1}^{n+1} with [A0|c0] at order (0, 0), solved
+    densely on all 8 elements, since the Redfield A0 couples every block.
+    """
+    coeffs = coefficient_set(params)
+    ops = reduced_operators(coeffs)[0]
+    ops[0] = redfield_operator(params, coeffs.basis)
+    z = {}
+    for m, n in ((0, 0), (1, -1), (1, 1), (2, 0), (2, -2), (3, -1)):
+        if m == 0:
+            rhs = ops[0, :, TRACE]
+        else:
+            rhs = sum(op @ z[m - 1, k] for op, k in ((ops[1], n - 1),
+                                                     (ops[2], n + 1))
+                      if (m - 1, k) in z)
+        kernel = 1j * n * delta_p * np.eye(TRACE) - ops[0, :, :TRACE]
+        # the trace entry: 1 at order (0, 0), 0 above it
+        z[m, n] = np.append(np.linalg.solve(kernel, rhs), float(m == 0))
+    c, s = coeffs.basis.c, coeffs.basis.s
+    one_p, one_m = STATE.index("1p"), STATE.index("1m")
+    return tuple(-(s * z[m, -1][one_p] - c * z[m, -1][one_m]) for m in (1, 3))

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from vkerr import (CoefficientSet, Susceptibility, axis_grid, chi,
+                   find_features, load_config, sweep)
 from vkerr.cli import PRESETS, main
 from vkerr.oracle import _MAX_N_MAX
 
@@ -18,6 +20,20 @@ def config_file(tmp_path):
         "gamma1": 0.1, "gamma2": 0.1, "g1": 5, "g2": 15, "kappa": 100,
         "omega21": 200, "omega_L_rabi": 200, "delta": 0, "delta_c": 200,
     }))
+    return str(cfg)
+
+
+# an asymmetric point (delta, gamma2 != gamma1, theta): the 26 dumped
+# coefficients are all distinct, so a field written in the wrong place shows
+ASYMMETRIC = {"gamma1": 0.1, "gamma2": 0.05, "g1": 5, "g2": 15, "kappa": 100,
+              "omega21": 200, "omega_L_rabi": 150, "delta": 20,
+              "delta_c": 170, "theta": 0.7}
+
+
+@pytest.fixture
+def asymmetric_config(tmp_path):
+    cfg = tmp_path / "asymmetric.json"
+    cfg.write_text(json.dumps(ASYMMETRIC))
     return str(cfg)
 
 
@@ -127,6 +143,44 @@ class TestModes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["gamma12"] == 0.05
 
+    def test_point_gamma12_is_the_override(self, config_file, capsys):
+        assert main(["point", "--config", config_file, "--omega", "200.122",
+                     "--gamma12", "0.03"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        params = load_config(config_file).replace(gamma12_override=0.03)
+        assert payload["metadata"]["params"]["gamma12_override"] == 0.03
+        assert payload["metadata"]["gamma12"] == 0.03
+        assert [payload[k] for k in Susceptibility._fields] == list(
+            chi(params, 200.122))
+
+    def test_features_transparency_fraction(self, config_file, capsys):
+        grid = ["--start", "199.5", "--stop", "201.0", "--step", "0.01"]
+        assert main(["features", "--config", config_file,
+                     "--transparency-frac", "0.2"] + grid) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["metadata"]
+        result = sweep(load_config(config_file), axis_grid(199.5, 201.0, 0.01))
+        report = find_features(result, transparency_fraction=0.2)
+        assert payload == json.loads(json.dumps(report._asdict()))
+        # the option takes effect: the default fraction finds fewer points
+        default = find_features(result)
+        assert len(default.transparency_points) < len(report.transparency_points)
+
+    def test_theta_sweep_metadata_clears_the_override(self, config_file,
+                                                      tmp_path):
+        # every row of a theta sweep sets theta, which clears --gamma12:
+        # the output is that of the sweep without it
+        argv = ["sweep", "--config", config_file, "--axis", "theta",
+                "--omega", "200.122", "--start", "0", "--stop", "1",
+                "--step", "0.5", "--format", "json"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(argv + ["--gamma12", "0.05", "--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        meta = json.loads(a.read_text())["metadata"]
+        assert meta["params"]["gamma12_override"] is None
+        assert meta["gamma12"] == 0.0
+
 
 _PARAMS = ["gamma1", "gamma2", "g1", "g2", "kappa", "omega21", "omega_L_rabi",
            "delta", "delta_c", "theta", "gamma12_override"]
@@ -191,6 +245,9 @@ class TestKeyOrder:
             "R_plus_minus", "R_minus_plus", "R_1_minus", "R_1_plus", "Gamma0",
             "Gamma_minus", "Gamma_plus", "Gamma1", "Gamma2", "Gamma3",
             "gamma0_pair"]
+        # the blocks after basis write every field of the flat record, in order
+        written = [name for block in list(payload)[3:] for name in payload[block]]
+        assert written == list(CoefficientSet._fields[1:])
 
     @pytest.mark.parametrize("argv, meta", [
         (["sweep", "--format", "json"] + _GRID, _SWEEP_META),
@@ -242,6 +299,39 @@ _COEFFICIENTS = {
 }
 
 
+# dump-coefficients at ASYMMETRIC, without the metadata
+_ASYMMETRIC_COEFFICIENTS = {
+    "gamma12": 0.05408250971664133,
+    "basis": {"c": 0.7302461949657026, "s": 0.6831840855421861,
+              "omega_R": 300.66592756745814,
+              "lambda_plus": 160.33296378372907,
+              "lambda_minus": -140.33296378372907, "lambda_1": -180.0},
+    "cavity_response": {
+        "B0": [0.13708470572285017, -0.23304399972884526],
+        "B1": [0.020159276166665546, -0.09488284416072192],
+        "B2": [0.19696671593639362, 0.2573683863774491],
+        "B3": [0.017258576909737186, -0.08807620705035608],
+        "B4": [0.09882447660907322, -0.2072023511624857]},
+    "interference": {
+        "x1": [0.0934671116428281, -0.240840155084401],
+        "x2": [0.17201549613377812, -0.24594513291717537],
+        "x3": [0.37575671135432637, -0.2020776822348616],
+        "x4": [0.14114479985574913, -0.2214589186596313]},
+    "rates": {
+        "R_plus_minus": 0.5010912507150649,
+        "R_minus_plus": 0.06412584633500064,
+        "R_1_minus": 0.15606413935691402,
+        "R_1_plus": 0.10197738740249121,
+        "Gamma0": [0.9082341599179853, 0.20915656371889668],
+        "Gamma_minus": [0.31749008939544104, -0.27055801949536984],
+        "Gamma_plus": [0.5359727915854732, 0.13788403953933265],
+        "Gamma1": [0.9082341599179853, 300.87508413117706],
+        "Gamma2": [0.5359727915854732, 39.80492025581026],
+        "Gamma3": [0.31749008939544104, 39.39647819677556],
+        "gamma0_pair": [0.9082341599179853, -0.40844205903470254]},
+}
+
+
 class TestRecordPayloads:
     """point and dump-coefficients write records field by field: pin them."""
 
@@ -259,6 +349,17 @@ class TestRecordPayloads:
         del payload["metadata"]
         # elementwise arithmetic only: keys, order and every bit
         assert json.dumps(payload) == json.dumps(_COEFFICIENTS)
+
+    def test_dump_coefficients_asymmetric(self, asymmetric_config, capsys):
+        assert main(["dump-coefficients", "--config", asymmetric_config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["metadata"]
+        values = [json.dumps(v) for block in list(payload.values())[1:]
+                  for v in block.values()]
+        assert len(set(values)) == len(values) == 26
+        # elementwise arithmetic and cos(0.7), which is correctly rounded:
+        # keys, order and every bit
+        assert json.dumps(payload) == json.dumps(_ASYMMETRIC_COEFFICIENTS)
 
 
 class TestFlags:
@@ -417,10 +518,9 @@ _BENCHMARK_NAMES = ("load_config", "coefficient_set", "sweep", "find_features",
 
 # the package surface; a new export is a reviewed change to this list
 _EXPORTS = [
-    "CavityResponse", "CoefficientSet", "DegenerateDressing",
-    "DegenerateNullSpace", "DressedBasis", "FeatureReport", "FockTruncation",
-    "InterferenceTerms", "LimitCycleRecord", "NoLimitCycle",
-    "NonConvergedTruncation", "NonHermitianGenerator", "RateSet",
+    "CoefficientSet", "DegenerateDressing", "DegenerateNullSpace",
+    "DressedBasis", "FeatureReport", "FockTruncation", "LimitCycleRecord",
+    "NoLimitCycle", "NonConvergedTruncation", "NonHermitianGenerator",
     "RegimeAdvisory", "SingularKernel", "SingularSteadyState", "SteadyState0",
     "Susceptibility", "SweepResult", "SweepRow", "SystemParams", "__version__",
     "axis_grid", "chi", "coefficient_set", "converged_steady_state",

@@ -62,7 +62,7 @@ def assert_filter_peaks(p, half_width):
         rows, failures = coefficient_rows(
             ParameterColumns.along(p, "delta_c", grid))
         assert not failures
-        mags = np.abs(getattr(rows.cavity_response, name))
+        mags = np.abs(getattr(rows, name))
         assert abs(grid[int(np.argmax(mags))] - loc) <= step + 1e-9, name
     return True
 
@@ -103,28 +103,27 @@ class TestDress:
 class TestCavityResponse:
     def test_zero_detuning_is_real_half(self):
         p = quiet_params(delta=0.0, delta_c=0.0, omega_L_rabi=200.0)
-        r = coefficient_set(p).cavity_response
+        r = coefficient_set(p)
         assert r.B0 == pytest.approx(0.5)
 
     def test_sideband_point_values(self, sideband_params):
         # B0 = 50/(100 + 200i); degeneracy lambda_+ = omega21 forces B4 = B0
-        r = coefficient_set(sideband_params).cavity_response
+        r = coefficient_set(sideband_params)
         assert r.B0 == pytest.approx(0.1 - 0.2j)
         assert r.B4 == pytest.approx(r.B0, abs=1e-15)
         assert r.B3 == pytest.approx(r.B1, abs=1e-15)
 
     def test_decoupling_limit(self):
         p = quiet_params(delta_c=1e9, g1=5.0, g2=15.0)
-        r = coefficient_set(p).cavity_response
+        r = coefficient_set(p)
         for B in (r.B0, r.B1, r.B2, r.B3, r.B4):
             assert abs(B) < 1e-6
 
     def test_bounds_and_positivity(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            cs = coefficient_set(random_params(rng))
-            b, r = cs.basis, cs.cavity_response
-            c2, s2 = b.c ** 2, b.s ** 2
+            r = coefficient_set(random_params(rng))
+            c2, s2 = r.basis.c ** 2, r.basis.s ** 2
             for B, bound in ((r.B0, c2), (r.B1, s2), (r.B2, c2),
                              (r.B3, s2), (r.B4, c2)):
                 assert abs(B) <= bound + 1e-12
@@ -138,20 +137,19 @@ class TestCavityResponse:
 
 class TestInterference:
     def test_all_zero_without_cavity_and_cross_damping(self):
-        x = coefficient_set(quiet_params(g1=0.0, g2=15.0)).interference
+        x = coefficient_set(quiet_params(g1=0.0, g2=15.0))
         assert x.x1 == x.x2 == x.x3 == x.x4 == 0.0
 
     def test_balanced_mixing_kills_x1_cross_damping(self):
         # c^2 = s^2 at delta = 0, so only the cavity part of x1 survives
         p = quiet_params(g1=5.0, g2=15.0, delta=0.0, delta_c=200.0)
         cs = coefficient_set(p)
-        r, x = cs.cavity_response, cs.interference
         gg = p.g1 * p.g2 / p.kappa
-        assert x.x1 == pytest.approx(gg * (r.B0 - r.B3.conjugate()))
+        assert cs.x1 == pytest.approx(gg * (cs.B0 - cs.B3.conjugate()))
 
     def test_free_space_limits(self):
         p = quiet_params(g1=0.0, g2=0.0, delta=0.0, theta=math.pi / 3)
-        x = coefficient_set(p).interference
+        x = coefficient_set(p)
         g12 = effective_gamma12(p)
         assert x.x1 == pytest.approx(0.0, abs=1e-15)
         assert x.x2 == pytest.approx(g12)
@@ -160,10 +158,9 @@ class TestInterference:
     def test_cavity_decoupling_leaves_cross_damping(self):
         p = quiet_params(g1=5.0, g2=15.0, delta=40.0, delta_c=1e9,
                          theta=math.pi / 4)
-        cs = coefficient_set(p)
-        x = cs.interference
+        x = coefficient_set(p)
         g12 = effective_gamma12(p)
-        c, s = cs.basis.c, cs.basis.s
+        c, s = x.basis.c, x.basis.s
         assert x.x1 == pytest.approx((c * c - s * s) * g12, abs=1e-6)
         assert x.x2 == pytest.approx(g12, abs=1e-6)
         assert x.x3 == pytest.approx((1 + 2 * c * c) * g12, abs=1e-6)
@@ -171,15 +168,14 @@ class TestInterference:
 
     def test_sideband_point_value(self, sideband_params):
         cs = coefficient_set(sideband_params)
-        r, x = cs.cavity_response, cs.interference
-        assert x.x2 == pytest.approx(0.75 * (r.B0 + r.B1))
-        assert r.B1 == pytest.approx(50.0 / (100.0 + 600.0j))
+        assert cs.x2 == pytest.approx(0.75 * (cs.B0 + cs.B1))
+        assert cs.B1 == pytest.approx(50.0 / (100.0 + 600.0j))
 
 
 class TestRateSet:
     def test_free_space_resonant_drive(self):
         p = quiet_params(g1=0.0, g2=0.0, delta=0.0)
-        r = coefficient_set(p).rates
+        r = coefficient_set(p)
         assert r.R_plus_minus == pytest.approx(p.gamma2 / 2)
         assert r.R_minus_plus == pytest.approx(p.gamma2 / 2)
         assert r.R_1_minus == pytest.approx(p.gamma1)
@@ -189,8 +185,8 @@ class TestRateSet:
 
     def test_decoupling_equals_free_space(self):
         # residual cavity corrections scale as kappa/delta_c ~ 1e-7 here
-        rc = coefficient_set(quiet_params(g1=5.0, g2=15.0, delta_c=1e9)).rates
-        rf = coefficient_set(quiet_params(g1=0.0, g2=0.0)).rates
+        rc = coefficient_set(quiet_params(g1=5.0, g2=15.0, delta_c=1e9))
+        rf = coefficient_set(quiet_params(g1=0.0, g2=0.0))
         for name in ("R_plus_minus", "R_minus_plus", "R_1_minus", "R_1_plus",
                      "Gamma0", "Gamma_minus", "Gamma_plus", "gamma0_pair"):
             assert getattr(rc, name) == pytest.approx(getattr(rf, name), abs=1e-6)
@@ -198,7 +194,7 @@ class TestRateSet:
     def test_positivity_fuzzing(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            r = coefficient_set(random_params(rng)).rates
+            r = coefficient_set(random_params(rng))
             assert min(r.R_plus_minus, r.R_minus_plus,
                        r.R_1_minus, r.R_1_plus) >= 0.0
             assert r.Gamma0.real > 0.0
@@ -207,8 +203,8 @@ class TestRateSet:
             assert r.gamma0_pair.real > 0.0
 
     def test_combined_rate_definitions(self, sideband_params):
-        cs = coefficient_set(sideband_params)
-        r, b = cs.rates, cs.basis
+        r = coefficient_set(sideband_params)
+        b = r.basis
         shift = b.lambda_plus - sideband_params.omega21
         assert r.Gamma1 == r.Gamma0 + 1j * b.omega_R
         assert r.Gamma2 == r.Gamma_plus - 1j * shift
@@ -223,8 +219,8 @@ class TestRateSet:
                 eps = max(1e-7, abs(getattr(p, name)) * 1e-7)
                 shifted = coefficient_set(p.replace(**{name: getattr(p, name) + eps}))
                 for attr in ("x1", "x2", "x3", "x4"):
-                    a = getattr(base.interference, attr)
-                    bb = getattr(shifted.interference, attr)
+                    a = getattr(base, attr)
+                    bb = getattr(shifted, attr)
                     assert abs(a - bb) < 1e-3 * (1.0 + abs(a))
 
 

@@ -25,9 +25,9 @@ REF_ANALYTIC = {"rho_11": 0.2072, "rho_pp": 0.2409, "rho_mm": 0.5520,
 # time-domain oracle) is checked against.
 def _reduced_rhs(coeffs: CoefficientSet, delta_p: float, omega_p: float):
     """RHS of the reduced equations with explicit exp(+-i delta_p t) factors."""
-    basis, r, x = coeffs.basis, coeffs.rates, coeffs.interference
+    basis, r = coeffs.basis, coeffs
     c, s = basis.c, basis.s
-    x1, x2, x3, x4 = x.x1, x.x2, x.x3, x.x4
+    x1, x2, x3, x4 = r.x1, r.x2, r.x3, r.x4
     g_m1 = r.Gamma3
     g_1p = r.Gamma_plus.conjugate() + 1j * (basis.lambda_1 - basis.lambda_plus)
     g_mp = r.gamma0_pair - 1j * basis.omega_R
@@ -228,11 +228,11 @@ class TestBatchedSolve:
         # only that row of the stack fails, its neighbours are untouched
         params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
         cs = coefficient_set(params)
-        undamped = cs._replace(rates=cs.rates._replace(Gamma_plus=0.0))
+        undamped = cs._replace(Gamma_plus=0.0)
         rows, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 3))
-        gamma_plus = rows.rates.Gamma_plus.copy()
+        gamma_plus = rows.Gamma_plus.copy()
         gamma_plus[1] = 0.0
-        stack = rows._replace(rates=rows.rates._replace(Gamma_plus=gamma_plus))
+        stack = rows._replace(Gamma_plus=gamma_plus)
         resonant = cs.basis.lambda_1 - cs.basis.lambda_plus
         table = HarmonicTable(stack, [0.25, resonant, 0.35])
         z, failures = table.solve(3, -1)
@@ -425,16 +425,6 @@ def hadamard_ratio(kernels):
             / np.linalg.norm(kernels, axis=-1).prod(axis=-1))
 
 
-def replaced(coeffs, **fields):
-    """``coeffs`` with coefficient fields replaced, whichever block holds them."""
-    return coeffs._replace(**{
-        name: block._replace(**{
-            k: v for k, v in fields.items() if hasattr(block, k)})
-        for name, block in (("basis", coeffs.basis),
-                            ("interference", coeffs.interference),
-                            ("rates", coeffs.rates))})
-
-
 class TestBlockStructure:
     def test_reduced_rhs_jacobian_is_block_diagonal(self):
         # the probe-free equations are affine, so their Jacobian is exact
@@ -509,8 +499,8 @@ class TestDenseReference:
         # rotation, with x2 and x3 set: at n = +-1 a pair's first entry is
         # 1e-9 against 0.5 below it, so elimination that does not swap the
         # rows is ~3e-8 off the dense solve
-        cs = replaced(coefficient_set(quiet_params(g1=0.0, g2=0.0, delta=0.0)),
-                      Gamma_plus=1e-9 + 0j, x2=0.3 - 0.2j, x3=0.5 + 0.5j)
+        cs = coefficient_set(quiet_params(g1=0.0, g2=0.0, delta=0.0))._replace(
+            Gamma_plus=1e-9 + 0j, x2=0.3 - 0.2j, x3=0.5 + 0.5j)
         dp = cs.basis.lambda_1 - cs.basis.lambda_plus
         table = HarmonicTable(cs, dp)
         assert table._kernel(1)[1].any() and table._kernel(-1)[1].any()
@@ -541,8 +531,11 @@ class TestDenseReference:
                 dict(R_minus_plus=1 + block * (1 - 1e-3)),
                 dict(gamma0_pair=1 + pair * (1 + 1e-3) + 0j),
                 dict(gamma0_pair=1 + pair * (1 - 1e-3) + 0j), triangular]
-        coeffs = replaced(base, **{k: np.array([row.get(k, v) for row in rows])
-                                   for k, v in common.items()})
+        columns = {k: np.array([row.get(k, v) for row in rows])
+                   for k, v in common.items()}
+        coeffs = base._replace(basis=base.basis._replace(**{
+            k: columns.pop(k) for k in ("s", "c", "lambda_1", "lambda_plus",
+                                        "omega_R")}), **columns)
         ops = reduced_operators(coeffs)[:, 0]
         kernels = -ops[:, :, :TRACE]
         assert list(dense_singular(kernels)) == [False, False, True, False, True, False]
@@ -625,9 +618,9 @@ class TestSingularBlocks:
         # rows keep the bits they have alone
         cs = coefficient_set(params)
         rows, _ = coefficient_rows(ParameterColumns.along(params, "g1", [0.0] * 3))
-        column = getattr(rows.rates, field).copy()
+        column = getattr(rows, field).copy()
         column[1] = value
-        table = HarmonicTable(replaced(rows, **{field: column}), [0.25, resonant, 0.35])
+        table = HarmonicTable(rows._replace(**{field: column}), [0.25, resonant, 0.35])
         for m, n in ((1, 1), (3, -1)):
             z, failures = table.solve(m, n)
             assert set(failures) == {1}
@@ -639,14 +632,14 @@ class TestSingularBlocks:
         assert str(failures[1]) == ("kernel i n delta_p - A0 singular at "
                                     f"(m={order[0]}, n={order[1]})")
         with pytest.raises(SingularKernel):
-            element_rows(HarmonicTable(replaced(cs, **{field: value}), resonant),
+            element_rows(HarmonicTable(cs._replace(**{field: value}), resonant),
                          "1p", *order)
 
     def test_block_row_isolated(self):
         # an undamped rho_{-1} (Gamma3 without its real part, no cavity) at
         # delta_p equal to its rotation: the 4x4 block is singular at n = +1
         params = quiet_params(g1=0.0, g2=0.0, delta=0.0, omega21=150.0)
-        gamma3 = coefficient_set(params).rates.Gamma3
+        gamma3 = coefficient_set(params).Gamma3
         self.assert_isolated(params, "Gamma3", 1j * gamma3.imag, -gamma3.imag, (1, 1))
 
     def test_p1_pair_row_isolated(self):
@@ -661,8 +654,8 @@ class TestSingularBlocks:
         # an undamped population block at n = 0: SingularSteadyState
         params = quiet_params(g1=0.0, g2=0.0, delta=0.0)
         cs = coefficient_set(params)
-        zero = replaced(cs, R_plus_minus=0.0, R_minus_plus=0.0, R_1_minus=0.0,
-                        R_1_plus=0.0)
+        zero = cs._replace(R_plus_minus=0.0, R_minus_plus=0.0, R_1_minus=0.0,
+                           R_1_plus=0.0)
         with pytest.raises(SingularSteadyState, match=r"\(m=0, n=0\)"):
             zeroth_order_steady_state(zero)
 

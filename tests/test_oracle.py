@@ -529,8 +529,7 @@ class TestTimeDomainReference:
                 quiet_params(omega_L_rabi=0.0, delta=0.0)))
         else:
             cs = coefficient_set(gentle_params)
-            coeffs = cs._replace(rates=cs.rates._replace(
-                R_plus_minus=math.inf))
+            coeffs = cs._replace(R_plus_minus=math.inf)
         with pytest.raises(ValueError, match="coefficients must be finite"):
             time_domain_reference(coeffs, omega_p=1e-3, delta_p=0.2)
 

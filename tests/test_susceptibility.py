@@ -166,6 +166,14 @@ class TestSweep:
             row_params = base.replace(**{axis_name: row.axis_value})
             assert row.result == chi(row_params, 200.122)
 
+    def test_theta_sweep_params_clear_the_override(self, sideband_params):
+        # every row of a theta sweep clears gamma12_override, so the
+        # parameters the result keeps, and its metadata writes, do too
+        base = sideband_params.replace(gamma12_override=0.05)
+        theta = sweep(base, [0.0, 0.5], axis_name="theta", omega=200.122)
+        assert theta.params == sideband_params
+        assert sweep(base, [5.0, 6.0], axis_name="g1", omega=200.122).params == base
+
     @pytest.mark.parametrize("axis_name, bad, message", [
         ("kappa", -50.0, "ValueError: gamma1, gamma2 and kappa must be positive"),
         ("g2", -1.0, "ValueError: g1, g2 and omega_L_rabi must be non-negative"),
